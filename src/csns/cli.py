@@ -29,8 +29,6 @@ def build_parser():
                        help="continue from a checkpoint (its stored "
                             "configuration governs the run)")
     run_p.add_argument("--seed", type=int, help="override the run seed")
-    run_p.add_argument("--deterministic", action="store_true",
-                       help="force deterministic mode on")
     run_p.add_argument("--output-dir", help="override the output directory")
 
     ver_p = sub.add_parser("verify",
@@ -74,8 +72,6 @@ def cmd_run(args):
                 cfg = dataclasses.replace(
                     cfg, output=dataclasses.replace(cfg.output,
                                                     dir=args.output_dir))
-            if args.deterministic:
-                cfg = dataclasses.replace(cfg, determinism_mode=True)
             result = driver.run(cfg)
     except driver.SimulationUnstable as exc:
         print(f"unstable: {exc}", file=sys.stderr)

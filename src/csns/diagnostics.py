@@ -37,13 +37,20 @@ def energy(state):
     return e_fluid + e_kin, e_fluid, e_kin
 
 
-def dissipation_terms(state, nu=1.0, u_phys=None):
+def total_momentum(state):
+    """Fluid plus particle momentum; the drag exchange conserves it."""
+    return fluid.fluid_momentum(state.u.c, state.u.box) \
+        + particles.particle_momentum(state.ens)
+
+
+def dissipation_terms(state, nu=1.0, u_phys=None, stencil=None):
     """(grad_rate, drag_rate, align_rate) for the energy balance.
 
     The drag channel interpolates |u|^2 separately from u, which is exactly
     the rate the semi-discrete system dissipates through the exchange term;
     it dominates the plain gap by the stencil's Jensen defect.  align_rate is
-    the raw double sum (the ledger halves it).
+    the raw double sum (the ledger halves it).  A stencil already built for
+    the particle positions serves every read.
     """
     box = state.u.box
     grad = fluid.dissipation_rate(state.u.c, box, nu)
@@ -52,29 +59,32 @@ def dissipation_terms(state, nu=1.0, u_phys=None):
         return grad, 0.0, 0.0
     if u_phys is None:
         u_phys = state.u.values()
+    if stencil is None:
+        stencil = particles.cic_stencil(ens.X, box)
     m = state.moments
-    u_at = particles.interpolate_velocity(u_phys, ens.X, box)
-    usq_at = particles.interpolate(np.sum(u_phys * u_phys, axis=0), ens.X, box)
+    u_at = particles.interpolate_velocity(u_phys, ens.X, box, stencil)
+    usq_at = particles.interpolate(np.sum(u_phys * u_phys, axis=0), ens.X,
+                                   box, stencil)
     vsq = np.sum(ens.V * ens.V, axis=1)
     drag = float(np.sum(ens.w * (usq_at - 2.0 * np.sum(u_at * ens.V, axis=1)
                                  + vsq)))
-    a_at = particles.interpolate(m.a, ens.X, box)
-    b_at = particles.interpolate(m.b, ens.X, box).T
-    ce_at = particles.interpolate(m.c_e, ens.X, box)
+    a_at = particles.interpolate(m.a, ens.X, box, stencil)
+    b_at = particles.interpolate(m.b, ens.X, box, stencil).T
+    ce_at = particles.interpolate(m.c_e, ens.X, box, stencil)
     align = float(np.sum(ens.w * (a_at * vsq
                                   - 2.0 * np.sum(b_at * ens.V, axis=1)
                                   + ce_at)))
     return grad, drag, align
 
 
-def alignment_gap(state, u_phys=None):
+def alignment_gap(state, u_phys=None, stencil=None):
     """Relative kinetic energy sum w_i |V_i - u(X_i)|^2."""
     ens = state.ens
     if ens.n == 0:
         return 0.0
     if u_phys is None:
         u_phys = state.u.values()
-    u_at = particles.interpolate_velocity(u_phys, ens.X, state.u.box)
+    u_at = particles.interpolate_velocity(u_phys, ens.X, state.u.box, stencil)
     diff = ens.V - u_at
     return float(np.sum(ens.w * np.sum(diff * diff, axis=1)))
 
@@ -82,6 +92,21 @@ def alignment_gap(state, u_phys=None):
 def b_field_sup(m):
     """Grid sup of |b| (euclidean norm over components)."""
     return float(np.sqrt(np.max(np.sum(m.b * m.b, axis=0))))
+
+
+def trapezoid(h, f_prev, f_now):
+    """Trapezoid-rule integral of f over a step of length h."""
+    return 0.5 * h * (f_prev + f_now)
+
+
+def cumulative_trapezoid(t, f):
+    """Running trapezoid integral of f over the samples t; starts at zero."""
+    t = np.asarray(t, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if t.size == 0:
+        return np.zeros(0)
+    return np.concatenate(
+        [[0.0], np.cumsum(trapezoid(np.diff(t), f[:-1], f[1:]))])
 
 
 @dataclass
@@ -109,9 +134,9 @@ class EnergyLedger:
 
     def advance(self, t, e, grad, drag, align):
         h = t - self.t
-        self.cum_grad += 0.5 * h * (self.last_grad + grad)
-        self.cum_drag += 0.5 * h * (self.last_drag + drag)
-        self.cum_align += 0.5 * h * (self.last_align + align)
+        self.cum_grad += trapezoid(h, self.last_grad, grad)
+        self.cum_drag += trapezoid(h, self.last_drag, drag)
+        self.cum_align += trapezoid(h, self.last_align, align)
         self.t = t
         self.e = e
         self.last_grad, self.last_drag, self.last_align = grad, drag, align
@@ -163,11 +188,8 @@ def fs_residual(t, e, dedt, lowfreq, c_sq):
 def time_weighted_drag(t, drag_rate):
     """Cumulative trapezoid of (1+t)^{17/16} * drag_rate; starts at zero."""
     t = np.asarray(t, dtype=float)
-    g = (1.0 + t) ** TW_EXPONENT * np.asarray(drag_rate, dtype=float)
-    if t.size == 0:
-        return np.zeros(0)
-    inc = 0.5 * np.diff(t) * (g[1:] + g[:-1])
-    return np.concatenate([[0.0], np.cumsum(inc)])
+    return cumulative_trapezoid(
+        t, (1.0 + t) ** TW_EXPONENT * np.asarray(drag_rate, dtype=float))
 
 
 def r_bound_check(t, r, b_inf, u_inf, e_kinetic):
@@ -177,12 +199,9 @@ def r_bound_check(t, r, b_inf, u_inf, e_kinetic):
     R(t) <= R(0) + integral of (||b||_inf + ||u||_inf), and of
     ||b||_inf <= sqrt(2 E_kinetic).
     """
-    t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     b_inf = np.asarray(b_inf, dtype=float)
-    u_inf = np.asarray(u_inf, dtype=float)
-    g = b_inf + u_inf
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (g[1:] + g[:-1]))])
+    cum = cumulative_trapezoid(t, b_inf + np.asarray(u_inf, dtype=float))
     r_margin = float(np.min(r[0] + cum - r))
     b_margin = float(np.min(np.sqrt(2.0 * np.asarray(e_kinetic, float)) - b_inf))
     return r_margin, b_margin
@@ -255,8 +274,12 @@ class SeriesRecorder:
     def record(self, state):
         box = state.u.box
         u_phys = state.u.values()
+        # one stencil serves every particle read of the row
+        stencil = particles.cic_stencil(state.ens.X, box) \
+            if state.ens.n else None
         e, e_fluid, e_kin = energy(state)
-        grad, drag, align = dissipation_terms(state, self.nu, u_phys=u_phys)
+        grad, drag, align = dissipation_terms(state, self.nu, u_phys=u_phys,
+                                              stencil=stencil)
         if self.ledger is None:
             self.ledger = EnergyLedger.start(e, state.t, grad, drag, align)
         else:
@@ -265,13 +288,12 @@ class SeriesRecorder:
         tw_g = (1.0 + state.t) ** TW_EXPONENT * drag
         if self._tw_last is not None:
             t_prev, g_prev = self._tw_last
-            self.tw_cum += 0.5 * (state.t - t_prev) * (g_prev + tw_g)
+            self.tw_cum += trapezoid(state.t - t_prev, g_prev, tw_g)
         self._tw_last = (state.t, tw_g)
 
         m = state.moments
         rho_l1, rho_l2, rho_linf = particles.density_lp_norms(m.rho, box)
-        mom = fluid.fluid_momentum(state.u.c, box) \
-            + particles.particle_momentum(state.ens)
+        mom = total_momentum(state)
         r = splitting_radius(state.t, self.c_sq)
         row = {
             "t": state.t,
@@ -292,7 +314,8 @@ class SeriesRecorder:
             "momentum_y": mom[1],
             "lowfreq_energy": fluid.low_freq_energy(state.u.c, box, r),
             "fs_residual": float("nan"),
-            "alignment_gap": alignment_gap(state, u_phys=u_phys),
+            "alignment_gap": alignment_gap(state, u_phys=u_phys,
+                                           stencil=stencil),
             "tw_drag_cum": self.tw_cum,
         }
         if box.d == 3:

@@ -108,7 +108,6 @@ class SimConfig:
     adaptive: bool = False
     seed: int = 0
     coupling_enabled: bool = True
-    determinism_mode: bool = True
     output: OutputSpec = field(default_factory=OutputSpec)
 
 

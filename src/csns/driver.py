@@ -31,78 +31,58 @@ class SimState:
     moments: particles.MomentFields = None
 
 
-def ensure_moments(state, kernel, box):
+def ensure_moments(state, kernel, box, stencil=None):
     """Fill the deposited and smoothed moment fields if they are stale."""
     if state.moments is None:
         state.moments = particles.convolve_kernel(
-            particles.deposit_moments(state.ens, box), kernel, box)
+            particles.deposit_moments(state.ens, box, stencil), kernel, box)
     return state.moments
 
 
-def total_momentum(state):
-    box = state.u.box
-    return fluid.fluid_momentum(state.u.c, box) \
-        + particles.particle_momentum(state.ens)
+def _stage(cfg, state):
+    """Right-hand side of the coupled system at one Heun stage.
+
+    Returns the fluid rate g and the particle rates (rx, rv), or None for
+    the particle rates of an empty ensemble, which deposits nothing.  One
+    stencil serves the deposit and every field read at the stage.
+    """
+    box = cfg.box
+    g = fluid.nonlinear_term(state.u.c, box)
+    ens = state.ens
+    if ens.n == 0:
+        return g, None
+    stencil = particles.cic_stencil(ens.X, box)
+    m = ensure_moments(state, cfg.kernel, box, stencil)
+    u = state.u.values()
+    if cfg.coupling_enabled:
+        g = g + fluid.leray_project(fluid.forward_transform(
+            particles.drag_field(m, u, box), box), box)
+    return g, particles.stage_rates(ens.X, ens.V, m, u, box, stencil)
+
+
+def _moved(ens, h, rx, rv, box):
+    """The ensemble advanced by h along the rates (rx, rv), positions wrapped."""
+    return particles.ParticleEnsemble(
+        particles.wrap_positions(ens.X + h * rx, box), ens.V + h * rv, ens.w)
 
 
 def coupled_step(state, cfg, dt):
     """Advance fluid and particles by one shared Heun step."""
     box = cfg.box
-    grid = wavenumbers(box)
-    c0 = state.u.c
+    t, k = state.t + dt, state.step_index + 1
     ens = state.ens
-    n = ens.n
-    couple = cfg.coupling_enabled and n > 0
-
-    # one stencil per stage serves the deposit and every field read
-    st0 = particles.cic_stencil(ens.X, box) if n else None
-    if state.moments is None:
-        state.moments = particles.convolve_kernel(
-            particles.deposit_moments(ens, box, st0), cfg.kernel, box)
-
-    g0 = fluid.nonlinear_term(c0, box)
-    if couple or n:
-        u0 = state.u.values()
-    if couple:
-        h0 = fluid.leray_project(fluid.forward_transform(
-            particles.drag_field(state.moments, u0, box), box), box)
-        g0 = g0 + h0
-
-    if n:
-        rx0, rv0 = particles.stage_rates(ens.X, ens.V, state.moments, u0,
-                                         box, st0)
-        star = particles.ParticleEnsemble(
-            particles.wrap_positions(ens.X + dt * rx0, box),
-            ens.V + dt * rv0, ens.w)
-        st1 = particles.cic_stencil(star.X, box)
-        m_star = particles.convolve_kernel(
-            particles.deposit_moments(star, box, st1), cfg.kernel, box)
-    stash = {}
+    g0, r0 = _stage(cfg, state)
+    star = _moved(ens, dt, *r0, box) if ens.n else ens
 
     def g_of(c_star):
-        g = fluid.nonlinear_term(c_star, box)
-        if couple or n:
-            u_star = fluid.inverse_transform(c_star, box)
-        if couple:
-            h_star = fluid.leray_project(fluid.forward_transform(
-                particles.drag_field(m_star, u_star, box), box), box)
-            g = g + h_star
-        if n:
-            stash["rates"] = particles.stage_rates(star.X, star.V, m_star,
-                                                   u_star, box, st1)
-        return g
+        return _stage(cfg, SimState(t, k, fluid.VelocityField(box, c_star),
+                                    star))
 
-    c1 = fluid.if_heun(c0, dt, cfg.viscosity, grid, g0, g_of)
-
-    if n:
-        rx1, rv1 = stash["rates"]
-        new_ens = particles.ParticleEnsemble(
-            particles.wrap_positions(ens.X + 0.5 * dt * (rx0 + rx1), box),
-            ens.V + 0.5 * dt * (rv0 + rv1), ens.w)
-    else:
-        new_ens = ens
-    return SimState(state.t + dt, state.step_index + 1,
-                    fluid.VelocityField(box, c1), new_ens)
+    c1, r1 = fluid.if_heun(state.u.c, dt, cfg.viscosity, wavenumbers(box),
+                           g0, g_of)
+    if ens.n:
+        ens = _moved(ens, 0.5 * dt, r0[0] + r1[0], r0[1] + r1[1], box)
+    return SimState(t, k, fluid.VelocityField(box, c1), ens)
 
 
 def adaptive_dt(state, cfl, box):

@@ -67,12 +67,19 @@ def low_freq_energy(c, box, r):
                                      * (c.real**2 + c.imag**2)))
 
 
-def leray_project(c, box):
-    """Remove the gradient part: c - xi (xi . c) / |xi|^2, identity on the mean."""
+def _xi_dot(c, box):
+    """xi . c, accumulated over the components in axis order."""
     grid = wavenumbers(box)
     div = np.zeros(box.spectral_shape, dtype=complex)
     for a in range(box.d):
         div = div + grid.xi[a] * c[a]
+    return div
+
+
+def leray_project(c, box):
+    """Remove the gradient part: c - xi (xi . c) / |xi|^2, identity on the mean."""
+    grid = wavenumbers(box)
+    div = _xi_dot(c, box)
     div *= grid.inv_xi_sq
     out = c.copy()
     for a in range(box.d):
@@ -82,11 +89,7 @@ def leray_project(c, box):
 
 def max_divergence(c, box):
     """Spectral sup of |xi . c|; zero for a solenoidal field."""
-    grid = wavenumbers(box)
-    div = np.zeros(box.spectral_shape, dtype=complex)
-    for a in range(box.d):
-        div = div + grid.xi[a] * c[a]
-    return float(np.max(np.abs(div)))
+    return float(np.max(np.abs(_xi_dot(c, box))))
 
 
 def _advection_hat(c, box):
@@ -114,23 +117,22 @@ def pressure_solve(c, box, h_hat=None):
     g = _advection_hat(c, box)
     if h_hat is not None:
         g = g + h_hat
-    div = np.zeros(box.spectral_shape, dtype=complex)
-    for a in range(box.d):
-        div = div + grid.xi[a] * g[a]
-    return inverse_transform(-1j * div * grid.inv_xi_sq, box)
+    return inverse_transform(-1j * _xi_dot(g, box) * grid.inv_xi_sq, box)
 
 
 def if_heun(c0, dt, nu, grid, g0, g_of):
     """One integrating-factor Heun step for c' = -nu |xi|^2 c + G(c).
 
-    g0 is G at c0; g_of maps the predictor state to its G value.  The pure
-    fluid stepper and the coupled stepper both go through this helper, so the
-    fluid update is bit-identical when no particles are present.
+    g0 is G at c0; g_of maps the predictor state to its G value and one
+    extra output of that stage, which is handed back with the new state as
+    (c1, extra).  The pure fluid stepper and the coupled stepper both go
+    through this helper, so the fluid update is bit-identical when no
+    particles are present.
     """
     decay = np.exp(-nu * grid.xi_sq * dt)
     c_star = decay * (c0 + dt * g0)
-    g1 = g_of(c_star)
-    return decay * (c0 + 0.5 * dt * g0) + 0.5 * dt * g1
+    g1, extra = g_of(c_star)
+    return decay * (c0 + 0.5 * dt * g0) + 0.5 * dt * g1, extra
 
 
 def ns_step(c, box, nu, dt, h_hat=None):
@@ -142,7 +144,7 @@ def ns_step(c, box, nu, dt, h_hat=None):
         g = nonlinear_term(cc, box)
         return g if hp is None else g + hp
 
-    return if_heun(c, dt, nu, grid, rhs(c), rhs)
+    return if_heun(c, dt, nu, grid, rhs(c), lambda cc: (rhs(cc), None))[0]
 
 
 def fluid_momentum(c, box):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from . import fluid
+from . import fluid, oracle
 from .domain import wavenumbers
 
 
@@ -41,11 +41,8 @@ def fluid_initial(init, box, seed):
         c[(slice(None),) + (0,) * box.d] = np.asarray(params["velocity"], float)
         return c
     if init.fluid == "taylor_green":
-        amp = params.get("amplitude", 1.0)
-        x = np.arange(box.N) * box.dx
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        u = np.stack([amp * np.cos(xx) * np.sin(yy),
-                      -amp * np.sin(xx) * np.cos(yy)])
+        u, _, _ = oracle.taylor_green(
+            box, amplitude=params.get("amplitude", 1.0))
         return fluid.forward_transform(u, box)
     if init.fluid == "broadband":
         return broadband_field(box, params["xi_cut"], params["u_rms"], seed)

@@ -43,6 +43,9 @@ def config_from_data(data):
         raise ConfigError([("config", "top level must be a table")])
     errors = []
     top = dict(data)
+    # determinism_mode was a flag that changed nothing; old configs and
+    # checkpoints still carry it
+    top.pop("determinism_mode", None)
     built = {}
     for key, cls in (("box", BoxSpec), ("kernel", KernelSpec),
                      ("init_profile", InitSpec), ("output", OutputSpec)):

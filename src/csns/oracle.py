@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .domain import BoxSpec, eval_phi, wavenumbers
 
@@ -90,6 +89,9 @@ def heat_decay_reference(c0, box, t, nu=1.0):
 def flat_spectrum_energy(t, xi_cut, nu=1.0):
     """Continuum heat-kernel energy for data flat on the ball |xi| <= xi_cut,
     up to a constant factor: integral of xi^2 e^{-2 nu t xi^2} over [0, xi_cut]."""
+    # imported here: scipy.special is slow to import and only this uses it
+    from scipy.special import erf
+
     t = np.asarray(t, dtype=float)
     a = 2.0 * nu * t
     x = xi_cut * np.sqrt(a)

@@ -1,5 +1,4 @@
-"""Particle ensemble: sampling, grid deposition, kernel smoothing, forces,
-and the characteristic stepper.
+"""Particle ensemble: sampling, grid deposition, kernel smoothing, and forces.
 
 The ensemble is a weighted empirical measure.  Moments are deposited on the
 fluid grid with the cloud-in-cell stencil and read back with the identical
@@ -45,7 +44,9 @@ class MomentFields:
 
 
 def wrap_positions(X, box):
-    return np.mod(X, box.L)
+    """Positions folded into [0, L); np.mod rounds a tiny negative up to L."""
+    Y = np.mod(X, box.L)
+    return np.where(Y == box.L, 0.0, Y)
 
 
 def cic_stencil(X, box):
@@ -53,16 +54,16 @@ def cic_stencil(X, box):
     s = np.mod(X, box.L) / box.dx
     base = np.floor(s).astype(np.int64)
     frac = s - base
+    lower, upper = base % box.N, (base + 1) % box.N
     d = X.shape[1]
-    corners = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)
-    idx = np.mod(base[:, None, :] + corners[None, :, :], box.N)
+    corners = np.array(list(itertools.product((False, True), repeat=d)))
     wts = np.ones((X.shape[0], corners.shape[0]))
+    flat = np.zeros((X.shape[0], corners.shape[0]), dtype=np.int64)
     for a in range(d):
-        wts *= np.where(corners[None, :, a] == 1, frac[:, None, a],
-                        1.0 - frac[:, None, a])
-    flat = idx[..., 0]
-    for a in range(1, d):
-        flat = flat * box.N + idx[..., a]
+        up = corners[:, a]
+        wts *= np.where(up, frac[:, None, a], 1.0 - frac[:, None, a])
+        flat = flat * box.N + np.where(up, upper[:, None, a],
+                                       lower[:, None, a])
     return flat, wts
 
 
@@ -122,10 +123,19 @@ def convolve_kernel(m, kernel, box):
 
 
 def interpolate(field, X, box, stencil=None):
-    """Read grid fields at particle positions with the deposit stencil."""
+    """Read a grid field, or a stack of fields, at particle positions.
+
+    The read uses the deposit stencil.  A stack is gathered corner-major, so
+    its corners are added in stencil order over contiguous rows; the result
+    has the bits and the particle-major layout of one fancy-index gather of
+    all channels summed over the corners, at a fraction of its cost.
+    """
     flat, wts = cic_stencil(X, box) if stencil is None else stencil
     flat_field = field.reshape(field.shape[:-box.d] + (-1,))
-    return np.sum(flat_field[..., flat] * wts, axis=-1)
+    if flat_field.ndim == 1:
+        return np.sum(flat_field[flat] * wts, axis=1)
+    corner_sum = np.sum(np.take(flat_field, flat.T, axis=-1) * wts.T, axis=-2)
+    return np.ascontiguousarray(corner_sum.T).T
 
 
 def interpolate_velocity(u_phys, X, box, stencil=None):
@@ -151,22 +161,6 @@ def stage_rates(X, V, m, u_phys, box, stencil=None):
     u_at = interpolate_velocity(u_phys, X, box, stencil)
     dv = alignment_force(m, X, V, box, stencil) + u_at - V
     return u_at, dv
-
-
-def characteristic_step(ens, m, u_phys, dt, kernel, box):
-    """Heun step of the particle characteristics under a frozen fluid field.
-
-    The smoothed moment fields are rebuilt at the predictor stage, so the
-    particle subsystem alone is second-order accurate.
-    """
-    rx0, rv0 = stage_rates(ens.X, ens.V, m, u_phys, box)
-    star = ParticleEnsemble(wrap_positions(ens.X + dt * rx0, box),
-                            ens.V + dt * rv0, ens.w)
-    st1 = cic_stencil(star.X, box)
-    m_star = convolve_kernel(deposit_moments(star, box, st1), kernel, box)
-    rx1, rv1 = stage_rates(star.X, star.V, m_star, u_phys, box, st1)
-    return ParticleEnsemble(wrap_positions(ens.X + 0.5 * dt * (rx0 + rx1), box),
-                            ens.V + 0.5 * dt * (rv0 + rv1), ens.w)
 
 
 def drag_field(m, u_phys, box):

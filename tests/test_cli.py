@@ -48,7 +48,7 @@ def test_run_seed_and_output_dir_overrides(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
     assert cli.main(["run", str(config_path), "--seed", "9",
-                     "--output-dir", str(a), "--deterministic"]) == 0
+                     "--output-dir", str(a)]) == 0
     assert cli.main(["run", str(config_path), "--seed", "10",
                      "--output-dir", str(b)]) == 0
     # configured directory stays untouched; different seeds give different data

@@ -329,3 +329,28 @@ def test_series_recorder_rows_and_resume():
     assert math.isnan(row1_again.pop("fs_residual"))
     assert math.isnan(row1.pop("fs_residual"))
     assert row1_again == row1
+
+
+def test_series_recorder_builds_one_stencil(monkeypatch):
+    box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
+    rng = np.random.Generator(np.random.PCG64(21))
+    n = 40
+    state = make_state(box, 0.3 * rng.standard_normal((2,) + box.shape),
+                       X=rng.uniform(0.0, box.L, (n, 2)),
+                       V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
+                       kernel=KernelSpec(kind="inverse_power", beta=2.0))
+    calls = []
+    stencil = particles.cic_stencil
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stencil(*args, **kwargs)
+
+    monkeypatch.setattr(particles, "cic_stencil", counted)
+    row = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0).record(state)
+    assert len(calls) == 1
+    # the same figures come out when every read builds its own stencil
+    grad, drag, align = diagnostics.dissipation_terms(state, 1.0)
+    assert (row["grad_rate"], row["drag_rate"], row["align_rate"]) \
+        == (grad, drag, align)
+    assert row["alignment_gap"] == diagnostics.alignment_gap(state)

@@ -73,6 +73,22 @@ def test_no_particles_matches_pure_fluid_stepper(tmp_path):
     assert np.array_equal(state.u.c, c_ref)
 
 
+def test_particle_free_steps_deposit_nothing(tmp_path, monkeypatch):
+    cfg = coupled_config(tmp_path, particle_count=0)
+    state = driver.initial_state(cfg)
+    calls = []
+    deposit = particles.deposit_moments
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return deposit(*args, **kwargs)
+
+    monkeypatch.setattr(particles, "deposit_moments", counted)
+    for _ in range(10):
+        state = driver.coupled_step(state, cfg, cfg.dt)
+    assert calls == []
+
+
 def advance_copy(state, cfg, dt, steps):
     cur = driver.SimState(state.t, state.step_index, state.u,
                           particles.ParticleEnsemble(state.ens.X.copy(),
@@ -105,10 +121,10 @@ def test_coupled_step_is_second_order(tmp_path):
 def test_total_momentum_conserved_through_coupling(tmp_path):
     cfg = coupled_config(tmp_path, particle_count=80, seed=5)
     state = driver.initial_state(cfg)
-    p0 = driver.total_momentum(state)
+    p0 = diagnostics.total_momentum(state)
     for _ in range(50):
         state = driver.coupled_step(state, cfg, cfg.dt)
-    drift = np.max(np.abs(driver.total_momentum(state) - p0))
+    drift = np.max(np.abs(diagnostics.total_momentum(state) - p0))
     assert drift < 1e-13
 
 

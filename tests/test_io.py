@@ -48,6 +48,14 @@ def test_minimal_config_gets_defaults():
     assert cfg.output.series == "series.csv"
 
 
+def test_config_accepts_retired_determinism_mode():
+    # determinism_mode was a no-op flag; configs and checkpoints written
+    # before its removal still load
+    data = json.loads(io.serialize_config(sample_config()))
+    data["determinism_mode"] = True
+    assert io.config_from_data(data) == sample_config()
+
+
 def test_unknown_top_level_key_is_named():
     data = {"box": {"d": 2, "L": 2.0 * math.pi, "N": 16},
             "dt": 1e-3, "t_end": 1.0, "visocity": 0.5}

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from csns.domain import BoxSpec, KernelSpec
 from csns import fluid, oracle
+
+
+def test_import_leaves_out_scipy_special():
+    # scipy.special is slow to import; only flat_spectrum_energy needs it
+    code = "import sys, csns; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_moment_solution_at_zero_is_identity():

@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csns.domain import BoxSpec, InitSpec, KernelSpec
-from csns import oracle, particles
+from csns.domain import BoxSpec, InitSpec, KernelSpec, SimConfig
+from csns import driver, fluid, oracle, particles
 
 BOX = BoxSpec(2, 2.0, 16)
 CONST = KernelSpec("constant")
@@ -19,6 +20,19 @@ def make_ensemble(box, n, seed, speed=1.0):
     w = rng.uniform(0.5, 1.5, n)
     w /= w.sum()
     return particles.ParticleEnsemble(X, V, w)
+
+
+def frozen_flow(ens, u, kernel, box):
+    """State and config whose coupled step moves only the particles.
+
+    With the back-reaction off, a zero or uniform flow stays as it is, so
+    the step is the particle Heun step under a frozen fluid field.
+    """
+    state = driver.SimState(0.0, 0, fluid.VelocityField.from_values(box, u),
+                            ens)
+    cfg = SimConfig(box=box, dt=1e-3, t_end=1.0, kernel=kernel,
+                    particle_count=ens.n, coupling_enabled=False)
+    return state, cfg
 
 
 def node_ensemble(box, nodes, V, w):
@@ -91,6 +105,43 @@ def test_interpolate_reads_nodes_exactly():
     X = np.array([[2 * BOX.dx, 9 * BOX.dx], [15 * BOX.dx, 0.0]])
     vals = particles.interpolate(field, X, BOX)
     assert vals == pytest.approx([field[2, 9], field[15, 0]], rel=1e-14)
+
+
+@pytest.mark.parametrize("d, n_grid", [(2, 16), (3, 8)])
+def test_cic_stencil_matches_corner_product_formula(d, n_grid):
+    box = BoxSpec(d, 2.0, n_grid)
+    X = make_ensemble(box, 200, 4).X * 3.0 - box.L
+    X[0], X[1] = -1e-17, box.L
+    s = np.mod(X, box.L) / box.dx
+    base = np.floor(s).astype(np.int64)
+    frac = s - base
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    idx = np.mod(base[:, None, :] + corners[None], box.N)
+    flat_ref = np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), box.shape)
+    wts_ref = np.ones(flat_ref.shape)
+    for a in range(d):
+        wts_ref *= np.where(corners[:, a] == 1, frac[:, None, a],
+                            1.0 - frac[:, None, a])
+    flat, wts = particles.cic_stencil(X, box)
+    assert np.array_equal(flat, flat_ref)
+    assert np.array_equal(wts, wts_ref)
+
+
+@pytest.mark.parametrize("d, n_grid", [(2, 16), (3, 8)])
+def test_interpolate_stack_matches_single_gather_sum(d, n_grid):
+    # a stack of fields reads to the same bits and layout as one fancy-index
+    # gather of all channels summed over the corner axis
+    box = BoxSpec(d, 2.0, n_grid)
+    X = make_ensemble(box, 300, 6).X
+    stencil = particles.cic_stencil(X, box)
+    flat, wts = stencil
+    rng = np.random.Generator(np.random.PCG64(8))
+    for channels in (d, d + 1):
+        field = rng.standard_normal((channels,) + box.shape)
+        ref = np.sum(field.reshape(channels, -1)[..., flat] * wts, axis=-1)
+        out = particles.interpolate(field, X, box, stencil)
+        assert np.array_equal(out, ref)
+        assert out.strides == ref.strides
 
 
 def test_convolve_constant_kernel_gives_integrals():
@@ -177,12 +228,11 @@ def test_characteristic_step_matches_two_particle_law():
     ens = particles.ParticleEnsemble(
         np.array([[1.0, 1.0], [4.0, 5.0]]),
         np.stack([v1_0, v2_0]), np.array([0.5, 0.5]))
-    u = np.zeros((2,) + box.shape)
+    state, cfg = frozen_flow(ens, np.zeros((2,) + box.shape), CONST, box)
     dt, n = 1e-3, 100
     for _ in range(n):
-        m = particles.convolve_kernel(particles.deposit_moments(ens, box),
-                                      CONST, box)
-        ens = particles.characteristic_step(ens, m, u, dt, CONST, box)
+        state = driver.coupled_step(state, cfg, dt)
+    ens = state.ens
     v1, v2 = oracle.two_particle_solution(0.5, 0.5, v1_0, v2_0, n * dt)
     # Heun is second order; the constant here is ~0.07 per unit time
     assert np.max(np.abs(ens.V[0] - v1)) < 2e-7
@@ -198,10 +248,18 @@ def test_characteristic_step_positions_follow_uniform_flow():
                                      np.array([1.0]))
     u = np.zeros((2,) + box.shape)
     u[0] = 0.5
-    m = particles.convolve_kernel(particles.deposit_moments(ens, box), CONST, box)
-    out = particles.characteristic_step(ens, m, u, 0.2, CONST, box)
+    state, cfg = frozen_flow(ens, u, CONST, box)
+    out = driver.coupled_step(state, cfg, 0.2).ens
     assert out.X[0, 0] == pytest.approx(0.1, rel=1e-13)
     assert out.X[0, 1] == 0.0
+
+
+def test_wrap_positions_stays_inside_the_box():
+    X = np.array([[-1e-17, BOX.L], [0.5, BOX.L + 0.25]])
+    out = particles.wrap_positions(X, BOX)
+    assert np.all(out >= 0.0) and np.all(out < BOX.L)
+    assert out[0].tolist() == [0.0, 0.0]
+    assert out[1].tolist() == [0.5, 0.25]
 
 
 def test_drag_field_values():
