@@ -43,14 +43,14 @@ def total_momentum(state):
         + particles.particle_momentum(state.ens)
 
 
-def dissipation_terms(state, nu=1.0, u_phys=None, stencil=None):
+def dissipation_terms(state, nu=1.0, u_phys=None):
     """(grad_rate, drag_rate, align_rate) for the energy balance.
 
     The drag channel interpolates |u|^2 separately from u, which is exactly
     the rate the semi-discrete system dissipates through the exchange term;
     it dominates the plain gap by the stencil's Jensen defect.  align_rate is
-    the raw double sum (the ledger halves it).  A stencil already built for
-    the particle positions serves every read.
+    the raw double sum (the ledger halves it).  Every read uses the stencil
+    the moments were deposited with.
     """
     box = state.u.box
     grad = fluid.dissipation_rate(state.u.c, box, nu)
@@ -59,9 +59,8 @@ def dissipation_terms(state, nu=1.0, u_phys=None, stencil=None):
         return grad, 0.0, 0.0
     if u_phys is None:
         u_phys = state.u.values()
-    if stencil is None:
-        stencil = particles.cic_stencil(ens.X, box)
     m = state.moments
+    stencil = m.stencil
     u_at = particles.interpolate_velocity(u_phys, ens.X, box, stencil)
     usq_at = particles.interpolate(np.sum(u_phys * u_phys, axis=0), ens.X,
                                    box, stencil)
@@ -274,12 +273,8 @@ class SeriesRecorder:
     def record(self, state):
         box = state.u.box
         u_phys = state.u.values()
-        # one stencil serves every particle read of the row
-        stencil = particles.cic_stencil(state.ens.X, box) \
-            if state.ens.n else None
         e, e_fluid, e_kin = energy(state)
-        grad, drag, align = dissipation_terms(state, self.nu, u_phys=u_phys,
-                                              stencil=stencil)
+        grad, drag, align = dissipation_terms(state, self.nu, u_phys=u_phys)
         if self.ledger is None:
             self.ledger = EnergyLedger.start(e, state.t, grad, drag, align)
         else:
@@ -291,8 +286,15 @@ class SeriesRecorder:
             self.tw_cum += trapezoid(state.t - t_prev, g_prev, tw_g)
         self._tw_last = (state.t, tw_g)
 
-        m = state.moments
-        rho_l1, rho_l2, rho_linf = particles.density_lp_norms(m.rho, box)
+        # an empty ensemble has no moments, and its densities are zero
+        stencil = None
+        rho_l1 = rho_l2 = rho_linf = b_inf = 0.0
+        if state.ens.n:
+            # the moments' stencil serves every particle read of the row
+            m = state.moments
+            stencil = m.stencil
+            rho_l1, rho_l2, rho_linf = particles.density_lp_norms(m.rho, box)
+            b_inf = b_field_sup(m)
         mom = total_momentum(state)
         r = splitting_radius(state.t, self.c_sq)
         row = {
@@ -305,7 +307,7 @@ class SeriesRecorder:
             "align_rate": align,
             "ledger_residual": energy_identity_residual(self.ledger),
             "R": particles.v_support_radius(state.ens),
-            "b_inf": b_field_sup(m),
+            "b_inf": b_inf,
             "u_inf": fluid.max_speed(u_phys),
             "rho_l1": rho_l1,
             "rho_l2": rho_l2,

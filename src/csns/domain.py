@@ -136,6 +136,11 @@ def phi_slope_max(kernel):
     return b * r * ((b + 2.0) / (b + 1.0)) ** (-0.5 * b - 1.0)
 
 
+def _is_int(value):
+    """A true integer; bool is an int subclass but no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_pow_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -157,7 +162,7 @@ def validate_config(cfg):
 
     if box.d not in (2, 3):
         errors.append(("box.d", "dimension must be 2 or 3"))
-    if not (isinstance(box.N, int) and _is_pow_two(box.N) and box.N >= 8):
+    if not (_is_int(box.N) and _is_pow_two(box.N) and box.N >= 8):
         errors.append(("box.N", "N must be even power of two (>= 8)"))
     if not (np.isfinite(box.L) and box.L > 0):
         errors.append(("box.L", "box side must be positive"))
@@ -185,11 +190,11 @@ def validate_config(cfg):
         errors.append(("t_end", "must be >= 0"))
     if not (0 < cfg.cfl <= 1):
         errors.append(("cfl", "Courant factor must lie in (0, 1]"))
-    if not (isinstance(cfg.particle_count, int) and cfg.particle_count >= 0):
+    if not (_is_int(cfg.particle_count) and cfg.particle_count >= 0):
         errors.append(("particle_count", "must be an integer >= 0"))
     if not (np.isfinite(cfg.r0) and cfg.r0 > 0):
         errors.append(("r0", "initial v-support radius must be positive"))
-    if not (isinstance(cfg.seed, int) and 0 <= cfg.seed < 2**64):
+    if not (_is_int(cfg.seed) and 0 <= cfg.seed < 2**64):
         errors.append(("seed", "must be a 64-bit unsigned integer"))
 
     init = cfg.init_profile
@@ -198,7 +203,7 @@ def validate_config(cfg):
     else:
         _check_profile_params(errors, "init_profile.fluid_params",
                               init.fluid_params, FLUID_PARAM_KEYS[init.fluid])
-        if init.fluid == "taylor_green" and not errors:
+        if init.fluid == "taylor_green":
             if box.d != 2 or abs(box.L - TWO_PI) > 1e-12:
                 errors.append(("init_profile.fluid",
                                "taylor_green requires d=2 and L=2*pi"))
@@ -222,7 +227,7 @@ def validate_config(cfg):
                               pp, PARTICLE_PARAM_KEYS[init.particles])
         if init.particles == "lattice" and isinstance(pp, dict):
             m = pp.get("m")
-            if not (isinstance(m, int) and m >= 1):
+            if not (_is_int(m) and m >= 1):
                 errors.append(("init_profile.particle_params.m",
                                "lattice needs an integer per-axis count m >= 1"))
             elif cfg.particle_count != 2 * box.d * m**box.d:
@@ -242,10 +247,10 @@ def validate_config(cfg):
                                "flocked speed exceeds r0"))
 
     out = cfg.output
-    if not (isinstance(out.series_every_steps, int) and out.series_every_steps >= 1):
+    if not (_is_int(out.series_every_steps) and out.series_every_steps >= 1):
         errors.append(("output.series_every_steps", "must be an integer >= 1"))
     for name in ("snapshot_every_steps", "checkpoint_every_steps"):
-        if not (isinstance(getattr(out, name), int) and getattr(out, name) >= 0):
+        if not (_is_int(getattr(out, name)) and getattr(out, name) >= 0):
             errors.append((f"output.{name}", "must be an integer >= 0 (0 disables)"))
 
     if errors:

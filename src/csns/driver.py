@@ -31,11 +31,16 @@ class SimState:
     moments: particles.MomentFields = None
 
 
-def ensure_moments(state, kernel, box, stencil=None):
-    """Fill the deposited and smoothed moment fields if they are stale."""
-    if state.moments is None:
+def ensure_moments(state, kernel, box):
+    """Fill the deposited and smoothed moment fields if they are stale.
+
+    The moments carry their stencil, so a state's deposit, its series row
+    and the next step's predictor share one.  An empty ensemble deposits
+    nothing and keeps moments None.
+    """
+    if state.moments is None and state.ens.n:
         state.moments = particles.convolve_kernel(
-            particles.deposit_moments(state.ens, box, stencil), kernel, box)
+            particles.deposit_moments(state.ens, box), kernel, box)
     return state.moments
 
 
@@ -43,21 +48,20 @@ def _stage(cfg, state):
     """Right-hand side of the coupled system at one Heun stage.
 
     Returns the fluid rate g and the particle rates (rx, rv), or None for
-    the particle rates of an empty ensemble, which deposits nothing.  One
-    stencil serves the deposit and every field read at the stage.
+    the particle rates of an empty ensemble, which deposits nothing.  The
+    stencil of the moments serves every field read at the stage.
     """
     box = cfg.box
     g = fluid.nonlinear_term(state.u.c, box)
     ens = state.ens
     if ens.n == 0:
         return g, None
-    stencil = particles.cic_stencil(ens.X, box)
-    m = ensure_moments(state, cfg.kernel, box, stencil)
+    m = ensure_moments(state, cfg.kernel, box)
     u = state.u.values()
     if cfg.coupling_enabled:
         g = g + fluid.leray_project(fluid.forward_transform(
             particles.drag_field(m, u, box), box), box)
-    return g, particles.stage_rates(ens.X, ens.V, m, u, box, stencil)
+    return g, particles.stage_rates(ens.X, ens.V, m, u, box)
 
 
 def _moved(ens, h, rx, rv, box):
@@ -143,7 +147,6 @@ def resume_run(checkpoint_path, stop_after_steps=None):
                      fluid.VelocityField(cfg.box, saved["c"]),
                      particles.ParticleEnsemble(saved["X"], saved["V"],
                                                 saved["w"]))
-    ensure_moments(state, cfg.kernel, cfg.box)
     recorder = diagnostics.SeriesRecorder.from_state_dict(
         saved["recorder_state"])
     outdir = Path(cfg.output.dir)
@@ -200,7 +203,6 @@ def _advance(cfg, state, recorder, writer, stop_after_steps):
         if out.snapshot_every_steps > 0 \
                 and state.step_index % out.snapshot_every_steps == 0:
             path = outdir / f"snapshot_{state.step_index:08d}.csns"
-            ensure_moments(state, cfg.kernel, cfg.box)
             io.write_snapshot(path, cfg.box, state.t, state.u.values(),
                               state.ens.X, state.ens.V, state.ens.w)
             snapshots.append(path)

@@ -219,8 +219,15 @@ def read_snapshot(path):
         if pos + _FIELD_ENTRY.size > len(raw):
             raise BadSnapshot("truncated field table")
         name, offset, count = _FIELD_ENTRY.unpack_from(raw, pos)
-        table.append((name.rstrip(b"\x00").decode(), int(offset), int(count)))
+        try:
+            name = name.rstrip(b"\x00").decode()
+        except UnicodeDecodeError as exc:
+            raise BadSnapshot(f"field name is not UTF-8: {name!r}") from exc
+        table.append((name, int(offset), int(count)))
         pos += _FIELD_ENTRY.size
+    if (len(raw) - pos) % 8:
+        raise BadSnapshot(f"payload of {len(raw) - pos} bytes is not a "
+                          "whole number of 8-byte values")
     payload = np.frombuffer(raw, dtype="<f8", offset=pos)
     blobs = {}
     for name, offset, count in table:

@@ -9,9 +9,8 @@ with the periodized kernel.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,61 +32,112 @@ class ParticleEnsemble:
 
 @dataclass(eq=False)
 class MomentFields:
-    """Grid moment densities and (after convolve_kernel) their smoothed fields."""
+    """Grid moment densities of an ensemble and their smoothed fields.
 
+    deposit_moments fills the weight density rho and the momentum density j
+    and keeps the stencil it deposited with, so that every read at the same
+    positions reuses it; convolve_kernel adds a = K*rho and b = K*j.  The
+    stepper reads nothing else.  The speed-squared density e and
+    c_e = K*e feed only the align-rate diagnostic, so each is built on its
+    first read.
+    """
+
+    ens: ParticleEnsemble
+    box: BoxSpec
+    stencil: tuple
     rho: np.ndarray
     j: np.ndarray
-    e: np.ndarray
+    kernel: KernelSpec = None
     a: np.ndarray = None
     b: np.ndarray = None
-    c_e: np.ndarray = None
+
+    @cached_property
+    def e(self):
+        ens = self.ens
+        return _deposit(self.stencil, ens.w * np.sum(ens.V * ens.V, axis=1),
+                        self.box)
+
+    @cached_property
+    def c_e(self):
+        return _smoothed(self.e, self.kernel, self.box)
 
 
 def wrap_positions(X, box):
-    """Positions folded into [0, L); np.mod rounds a tiny negative up to L."""
-    Y = np.mod(X, box.L)
-    return np.where(Y == box.L, 0.0, Y)
+    """Positions folded into [0, L); np.mod rounds a tiny negative up to L.
+
+    Only the entries outside the box are folded, into a copy; with none
+    outside, X itself is returned.  A -0.0 counts as outside, so that it
+    leaves as +0.0, the value np.mod gives it.
+    """
+    out = np.signbit(X) | (X >= box.L)
+    if not out.any():
+        return X
+    folded = np.mod(X[out], box.L)
+    folded[folded == box.L] = 0.0
+    Y = X.copy()
+    Y[out] = folded
+    return Y
 
 
 def cic_stencil(X, box):
-    """Flattened corner indices (n, 2^d) and multilinear weights for each particle."""
-    s = np.mod(X, box.L) / box.dx
-    base = np.floor(s).astype(np.int64)
-    frac = s - base
-    lower, upper = base % box.N, (base + 1) % box.N
-    d = X.shape[1]
-    corners = np.array(list(itertools.product((False, True), repeat=d)))
-    wts = np.ones((X.shape[0], corners.shape[0]))
-    flat = np.zeros((X.shape[0], corners.shape[0]), dtype=np.int64)
-    for a in range(d):
-        up = corners[:, a]
-        wts *= np.where(up, frac[:, None, a], 1.0 - frac[:, None, a])
-        flat = flat * box.N + np.where(up, upper[:, None, a],
-                                       lower[:, None, a])
+    """Flattened corner indices (n, 2^d) and multilinear weights for each particle.
+
+    Corner k takes the upper node on axis a where bit d-1-a of k is set; its
+    weight is the product of the axis factors, multiplied in axis order.
+    Positions already inside [0, L), as wrap_positions leaves them, skip the
+    fold into the box, which would return them unchanged.
+    """
+    n, d = X.shape
+    if n and (X.min() < 0.0 or X.max() >= box.L):
+        X = np.mod(X, box.L)
+    # grid coordinates, reduced in place to their fractional part
+    frac = np.divide(X.T, box.dx, order="C")
+    base = np.floor(frac)
+    frac -= base
+    lower = base.astype(np.intp)
+    lower %= box.N
+    upper = lower + 1
+    upper[upper == box.N] = 0
+    # per side (lower, upper): rows of axis node offsets and weight factors
+    stride = box.N ** np.arange(d - 1, -1, -1)[:, None]
+    lower *= stride
+    upper *= stride
+    node = (lower, upper)
+    factor = (1.0 - frac, frac)
+    flat = np.empty((n, 2**d), dtype=np.intp)
+    wts = np.empty((n, 2**d))
+    for k in range(2**d):
+        up = [(k >> (d - 1 - a)) & 1 for a in range(d)]
+        col_flat, col_wts = flat[:, k], wts[:, k]
+        np.add(node[up[0]][0], node[up[1]][1], out=col_flat)
+        np.multiply(factor[up[0]][0], factor[up[1]][1], out=col_wts)
+        for a in range(2, d):
+            col_flat += node[up[a]][a]
+            col_wts *= factor[up[a]][a]
     return flat, wts
 
 
-def deposit_moments(ens, box, stencil=None):
-    """Deposit the velocity moments of the ensemble as grid densities.
+def _deposit(stencil, values, box, contrib=None):
+    """CIC density of per-particle values: the grid sum times the cell
+    volume gives their total.  contrib, if given, is an (n, 2^d) buffer
+    for the corner contributions."""
+    flat, wts = stencil
+    contrib = np.multiply(wts, values[:, None], out=contrib)
+    return np.bincount(flat.ravel(), weights=contrib.ravel(),
+                       minlength=box.N**box.d).reshape(box.shape) \
+        * (1.0 / box.dx**box.d)
 
-    rho carries the weights, j the momenta, e the speeds squared; each is a
-    density (per unit volume), so grid sums times the cell volume reproduce
-    the particle sums exactly.
+
+def deposit_moments(ens, box):
+    """Deposit the weights (rho) and momenta (j) of the ensemble as grid
+    densities; the result keeps the stencil for reads at the same positions.
     """
-    flat, wts = cic_stencil(ens.X, box) if stencil is None else stencil
-    fl = flat.ravel()
-    size = box.N**box.d
-    inv_cell = 1.0 / box.dx**box.d
-
-    def dep(values):
-        contrib = (wts * values[:, None]).ravel()
-        return np.bincount(fl, weights=contrib,
-                           minlength=size).reshape(box.shape) * inv_cell
-
-    rho = dep(ens.w)
-    j = np.stack([dep(ens.w * ens.V[:, a]) for a in range(ens.V.shape[1])])
-    e = dep(ens.w * np.sum(ens.V * ens.V, axis=1))
-    return MomentFields(rho, j, e)
+    stencil = cic_stencil(ens.X, box)
+    contrib = np.empty(stencil[1].shape)
+    rho = _deposit(stencil, ens.w, box, contrib)
+    j = np.stack([_deposit(stencil, ens.w * ens.V[:, a], box, contrib)
+                  for a in range(ens.V.shape[1])])
+    return MomentFields(ens, box, stencil, rho, j)
 
 
 @lru_cache(maxsize=32)
@@ -100,42 +150,42 @@ def kernel_hat(kernel, box):
     return np.fft.rfftn(phi, norm="forward").real
 
 
-def convolve_kernel(m, kernel, box):
-    """Fill the smoothed interaction fields a = K*rho, b = K*j, c_e = K*e."""
+def _smoothed(g, kernel, box):
+    """The periodic convolution K*g of one grid density."""
     if kernel.kind == "constant":
-        cell = box.dx**box.d
-        a = np.full(box.shape, np.sum(m.rho) * cell)
-        b = np.stack([np.full(box.shape, np.sum(m.j[i]) * cell)
-                      for i in range(m.j.shape[0])])
-        ce = np.full(box.shape, np.sum(m.e) * cell)
-    else:
-        khat = kernel_hat(kernel, box)
+        return np.full(box.shape, np.sum(g) * box.dx**box.d)
+    ghat = np.fft.rfftn(g, norm="forward")
+    return np.fft.irfftn(box.volume * kernel_hat(kernel, box) * ghat,
+                         s=box.shape, axes=tuple(range(box.d)), norm="forward")
 
-        def conv(g):
-            ghat = np.fft.rfftn(g, norm="forward")
-            return np.fft.irfftn(box.volume * khat * ghat, s=box.shape,
-                                 axes=tuple(range(box.d)), norm="forward")
 
-        a = conv(m.rho)
-        b = np.stack([conv(m.j[i]) for i in range(m.j.shape[0])])
-        ce = conv(m.e)
-    return MomentFields(m.rho, m.j, m.e, a, b, ce)
+def convolve_kernel(m, kernel, box):
+    """The moments with the smoothed interaction fields a = K*rho, b = K*j."""
+    a = _smoothed(m.rho, kernel, box)
+    b = np.stack([_smoothed(m.j[i], kernel, box) for i in range(m.j.shape[0])])
+    return replace(m, kernel=kernel, a=a, b=b)
 
 
 def interpolate(field, X, box, stencil=None):
     """Read a grid field, or a stack of fields, at particle positions.
 
-    The read uses the deposit stencil.  A stack is gathered corner-major, so
-    its corners are added in stencil order over contiguous rows; the result
-    has the bits and the particle-major layout of one fancy-index gather of
-    all channels summed over the corners, at a fraction of its cost.
+    The read uses the deposit stencil.  Corners are added one at a time, in
+    stencil order, to a zeroed sum: the association of numpy's add.reduce
+    over the corners, so the bits are those of a gather summed over its
+    corner axis, with no (channels, 2^d, n) temporary.  The result is laid
+    out particle-major, as that sum is.  A single 3D field keeps the gather:
+    numpy sums a contiguous 8-corner axis pairwise, not in order.
     """
     flat, wts = cic_stencil(X, box) if stencil is None else stencil
     flat_field = field.reshape(field.shape[:-box.d] + (-1,))
-    if flat_field.ndim == 1:
+    if flat_field.ndim == 1 and box.d == 3:
         return np.sum(flat_field[flat] * wts, axis=1)
-    corner_sum = np.sum(np.take(flat_field, flat.T, axis=-1) * wts.T, axis=-2)
-    return np.ascontiguousarray(corner_sum.T).T
+    out = np.zeros((flat.shape[0],) + flat_field.shape[:-1]).T
+    for k in range(flat.shape[1]):
+        corner = np.take(flat_field, flat[:, k], axis=-1)
+        corner *= wts[:, k]
+        out += corner
+    return out
 
 
 def interpolate_velocity(u_phys, X, box, stencil=None):
@@ -143,29 +193,29 @@ def interpolate_velocity(u_phys, X, box, stencil=None):
     return interpolate(u_phys, X, box, stencil).T
 
 
-def alignment_force(m, X, V, box, stencil=None):
-    """Pairwise relaxation force b(X) - a(X) V read from the smoothed fields."""
-    a_at = interpolate(m.a, X, box, stencil)
-    b_at = interpolate(m.b, X, box, stencil).T
+def alignment_force(m, X, V, box):
+    """Pairwise relaxation force b(X) - a(X) V read from the smoothed fields
+    at the positions X the moments were deposited from."""
+    a_at = interpolate(m.a, X, box, m.stencil)
+    b_at = interpolate(m.b, X, box, m.stencil).T
     return b_at - a_at[:, None] * V
 
 
-def stage_rates(X, V, m, u_phys, box, stencil=None):
+def stage_rates(X, V, m, u_phys, box):
     """Characteristic right-hand sides (dX/dt, dV/dt) at one stage.
 
-    Passing a precomputed stencil avoids rebuilding it for every field read
-    at the same positions.
+    X are the positions the moments were deposited from, so every field
+    read reuses the moments' stencil.
     """
-    if stencil is None:
-        stencil = cic_stencil(X, box)
-    u_at = interpolate_velocity(u_phys, X, box, stencil)
-    dv = alignment_force(m, X, V, box, stencil) + u_at - V
+    u_at = interpolate_velocity(u_phys, X, box, m.stencil)
+    dv = alignment_force(m, X, V, box) + u_at - V
     return u_at, dv
 
 
 def drag_field(m, u_phys, box):
     """Momentum exchange density on the grid: h = j - rho u."""
-    return m.j - m.rho[None] * u_phys
+    h = m.rho[None] * u_phys
+    return np.subtract(m.j, h, out=h)
 
 
 def v_support_radius(ens):

@@ -132,6 +132,22 @@ def test_verify_includes_snapshots(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_fails_cleanly_on_cut_snapshot(tmp_path, capsys):
+    config_path, cfg = write_config(
+        tmp_path,
+        output=OutputSpec(dir=str(tmp_path / "out"), series="series.csv",
+                          series_every_steps=5, snapshot_every_steps=10))
+    cli.main(["run", str(config_path)])
+    capsys.readouterr()
+    series = tmp_path / "out" / "series.csv"
+    snap = sorted((tmp_path / "out").glob("snapshot_*.csns"))[0]
+    raw = snap.read_bytes()
+    snap.write_bytes(raw[:len(raw) // 2 + 3])
+    assert cli.main(["verify", str(series), str(snap)]) == 1
+    out = capsys.readouterr().out
+    assert f"snapshot:{snap.name}  FAIL" in out
+
+
 def test_fit_decay_command(tmp_path, capsys):
     cols = ["t", "E"]
     path = tmp_path / "decay.csv"

@@ -332,13 +332,10 @@ def test_series_recorder_rows_and_resume():
 
 
 def test_series_recorder_builds_one_stencil(monkeypatch):
+    # the deposit's stencil travels with the moments and serves the row
     box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
     rng = np.random.Generator(np.random.PCG64(21))
     n = 40
-    state = make_state(box, 0.3 * rng.standard_normal((2,) + box.shape),
-                       X=rng.uniform(0.0, box.L, (n, 2)),
-                       V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
-                       kernel=KernelSpec(kind="inverse_power", beta=2.0))
     calls = []
     stencil = particles.cic_stencil
 
@@ -347,10 +344,60 @@ def test_series_recorder_builds_one_stencil(monkeypatch):
         return stencil(*args, **kwargs)
 
     monkeypatch.setattr(particles, "cic_stencil", counted)
+    state = make_state(box, 0.3 * rng.standard_normal((2,) + box.shape),
+                       X=rng.uniform(0.0, box.L, (n, 2)),
+                       V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
+                       kernel=KernelSpec(kind="inverse_power", beta=2.0))
     row = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0).record(state)
     assert len(calls) == 1
-    # the same figures come out when every read builds its own stencil
+    # the same figures come out of the separate functionals
     grad, drag, align = diagnostics.dissipation_terms(state, 1.0)
     assert (row["grad_rate"], row["drag_rate"], row["align_rate"]) \
         == (grad, drag, align)
     assert row["alignment_gap"] == diagnostics.alignment_gap(state)
+    assert len(calls) == 2
+
+
+def test_align_rate_reads_the_energy_moment_of_a_full_deposit():
+    # e and c_e are built on first read; they carry the bits of the
+    # one-pass deposit and convolution of every moment
+    box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
+    kernel = KernelSpec(kind="inverse_power", beta=2.0)
+    rng = np.random.Generator(np.random.PCG64(22))
+    n = 50
+    state = make_state(box, 0.3 * rng.standard_normal((2,) + box.shape),
+                       X=rng.uniform(0.0, box.L, (n, 2)),
+                       V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
+                       kernel=kernel)
+    m, ens = state.moments, state.ens
+    assert "e" not in vars(m) and "c_e" not in vars(m)
+    flat, wts = m.stencil
+    contrib = wts * (ens.w * np.sum(ens.V * ens.V, axis=1))[:, None]
+    e_ref = np.bincount(flat.ravel(), weights=contrib.ravel(),
+                        minlength=box.N**2).reshape(box.shape) \
+        * (1.0 / box.dx**2)
+    ce_ref = np.fft.irfftn(
+        box.volume * particles.kernel_hat(kernel, box)
+        * np.fft.rfftn(e_ref, norm="forward"),
+        s=box.shape, axes=(0, 1), norm="forward")
+    eager = SimpleNamespace(t=state.t, u=state.u, ens=ens,
+                            moments=SimpleNamespace(stencil=m.stencil, a=m.a,
+                                                    b=m.b, c_e=ce_ref))
+    row = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0).record(state)
+    assert np.array_equal(m.e, e_ref)
+    assert np.array_equal(m.c_e, ce_ref)
+    assert row["align_rate"] == diagnostics.dissipation_terms(eager)[2]
+
+
+def test_particle_free_row_reads_zero_density():
+    box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
+    u, _, _ = oracle.taylor_green(box)
+    state = SimpleNamespace(t=0.0, u=fluid.VelocityField.from_values(box, u),
+                            ens=particles.ParticleEnsemble(
+                                np.zeros((0, 2)), np.zeros((0, 2)),
+                                np.zeros(0)),
+                            moments=None)
+    row = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0).record(state)
+    for name in ("rho_l1", "rho_l2", "rho_linf", "b_inf", "drag_rate",
+                 "align_rate", "alignment_gap"):
+        assert math.copysign(1.0, row[name]) == 1.0 and row[name] == 0.0

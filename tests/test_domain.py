@@ -9,6 +9,7 @@ from csns.domain import (
     ConfigError,
     InitSpec,
     KernelSpec,
+    OutputSpec,
     SimConfig,
     eval_phi,
     full_order_indices,
@@ -97,6 +98,23 @@ def test_validate_collects_all_errors():
         validate_config(cfg)
     paths = {path for path, _ in err.value.errors}
     assert {"box.d", "box.N", "box.L", "dt", "cfl"} <= paths
+
+
+def test_validate_reports_every_error_at_once():
+    # bool is no count, and the taylor_green geometry is checked even when
+    # earlier fields have failed
+    cfg = make_config(
+        box=BoxSpec(2, 1.0, True), dt=-1.0, seed=True, particle_count=True,
+        init_profile=InitSpec(fluid="taylor_green", particles="lattice",
+                              particle_params={"m": True}),
+        output=OutputSpec(series_every_steps=True, snapshot_every_steps=True,
+                          checkpoint_every_steps=True))
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert sorted(path for path, _ in err.value.errors) == sorted([
+        "box.N", "dt", "particle_count", "seed", "init_profile.fluid",
+        "init_profile.particle_params.m", "output.series_every_steps",
+        "output.snapshot_every_steps", "output.checkpoint_every_steps"])
 
 
 def test_validate_taylor_green_geometry():

@@ -73,20 +73,65 @@ def test_no_particles_matches_pure_fluid_stepper(tmp_path):
     assert np.array_equal(state.u.c, c_ref)
 
 
-def test_particle_free_steps_deposit_nothing(tmp_path, monkeypatch):
-    cfg = coupled_config(tmp_path, particle_count=0)
-    state = driver.initial_state(cfg)
+def counting(monkeypatch, module, name):
+    """Calls to module.name, recorded as argument tuples."""
     calls = []
-    deposit = particles.deposit_moments
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return deposit(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(particles, "deposit_moments", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_particle_free_steps_deposit_nothing(tmp_path, monkeypatch):
+    cfg = coupled_config(tmp_path, particle_count=0)
+    state = driver.initial_state(cfg)
+    calls = counting(monkeypatch, particles, "deposit_moments")
     for _ in range(10):
         state = driver.coupled_step(state, cfg, cfg.dt)
     assert calls == []
+
+
+def test_particle_free_run_deposits_nothing(tmp_path, monkeypatch):
+    cfg = coupled_config(
+        tmp_path, particle_count=0, t_end=0.005,
+        output=OutputSpec(dir=str(tmp_path), series="series.csv",
+                          series_every_steps=1))
+    calls = counting(monkeypatch, particles, "deposit_moments")
+    res = driver.run(cfg)
+    assert calls == []
+    data = io.read_timeseries(res.series_path)
+    assert data.size == 6
+    for name in ("rho_l1", "rho_l2", "rho_linf", "b_inf"):
+        assert np.all(data[name] == 0.0)
+
+
+def test_run_builds_one_stencil_per_set_of_positions(tmp_path, monkeypatch):
+    # each step builds the stencil of its start and of its predicted
+    # positions; a series row and a snapshot reuse the step's
+    steps = 6
+    cfg = coupled_config(
+        tmp_path, t_end=steps * 1e-3,
+        output=OutputSpec(dir=str(tmp_path), series="series.csv",
+                          series_every_steps=1, snapshot_every_steps=1))
+    calls = counting(monkeypatch, particles, "cic_stencil")
+    res = driver.run(cfg)
+    assert res.n_steps == steps
+    assert len(calls) == 1 + 2 * steps
+    assert len({c[0].tobytes() for c in calls}) == len(calls)
+
+
+def test_stage_deposits_rho_and_j_only(tmp_path, monkeypatch):
+    cfg = coupled_config(tmp_path)
+    state = driver.initial_state(cfg)
+    fresh = driver.SimState(state.t, state.step_index, state.u, state.ens)
+    channels = counting(monkeypatch, particles, "_deposit")
+    driver._stage(cfg, fresh)
+    assert len(channels) == cfg.box.d + 1
+    assert "e" not in vars(fresh.moments)
 
 
 def advance_copy(state, cfg, dt, steps):

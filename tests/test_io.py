@@ -218,6 +218,28 @@ def test_snapshot_rejects_truncation(tmp_path):
         io.read_snapshot(path)
 
 
+def test_snapshot_rejects_partial_payload(tmp_path):
+    box = BoxSpec(d=2, L=1.0, N=8)
+    path = tmp_path / "cut.csns"
+    io.write_snapshot(path, box, 0.0, np.zeros((2,) + box.shape),
+                      np.zeros((3, 2)), np.zeros((3, 2)), np.ones(3))
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(io.BadSnapshot, match="8-byte"):
+        io.read_snapshot(path)
+
+
+def test_snapshot_rejects_non_utf8_field_name(tmp_path):
+    box = BoxSpec(d=2, L=1.0, N=8)
+    path = tmp_path / "name.csns"
+    io.write_snapshot(path, box, 0.0, np.zeros((2,) + box.shape),
+                      np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+    raw = bytearray(path.read_bytes())
+    raw[io._HEADER.size] = 0xff
+    path.write_bytes(bytes(raw))
+    with pytest.raises(io.BadSnapshot, match="UTF-8"):
+        io.read_snapshot(path)
+
+
 def test_snapshot_rejects_wrong_version(tmp_path):
     box = BoxSpec(d=2, L=1.0, N=8)
     path = tmp_path / "v9.csns"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,20 +129,71 @@ def test_cic_stencil_matches_corner_product_formula(d, n_grid):
 
 
 @pytest.mark.parametrize("d, n_grid", [(2, 16), (3, 8)])
+def test_cic_stencil_skips_the_fold_to_the_same_bits(d, n_grid):
+    # positions shifted by +-L take the np.mod path; the same positions
+    # folded into [0, L) skip it, and the stencil keeps its bits
+    box = BoxSpec(d, 2.0, n_grid)
+    X = make_ensemble(box, 300, 12).X
+    shift = np.random.Generator(np.random.PCG64(13)).integers(-1, 2, X.shape)
+    Y = X + shift * box.L
+    Y[0, 0] = -1e-17
+    inside = particles.wrap_positions(Y, box)
+    assert inside.min() >= 0.0 and inside.max() < box.L
+    flat, wts = particles.cic_stencil(Y, box)
+    flat_in, wts_in = particles.cic_stencil(inside, box)
+    assert np.array_equal(flat, flat_in)
+    assert np.array_equal(wts, wts_in)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cic_stencil_empty_ensemble(d):
+    flat, wts = particles.cic_stencil(np.zeros((0, d)), BoxSpec(d, 2.0, 8))
+    assert flat.shape == wts.shape == (0, 2**d)
+    assert flat.dtype == np.intp and wts.dtype == np.float64
+
+
+@pytest.mark.parametrize("d, n_grid", [(2, 16), (3, 8)])
 def test_interpolate_stack_matches_single_gather_sum(d, n_grid):
-    # a stack of fields reads to the same bits and layout as one fancy-index
-    # gather of all channels summed over the corner axis
+    # a field, or a stack of fields, reads to the same bits and layout as
+    # one fancy-index gather of all channels summed over the corner axis
     box = BoxSpec(d, 2.0, n_grid)
     X = make_ensemble(box, 300, 6).X
+    # particles on grid nodes; the one at the origin reads -0.0 times one
+    # and negative values times zero, which a sum from zero makes +0.0
+    X[:3] = np.array([[1, 2, 3], [0, 0, 0], [5, 4, 1]])[:, :d] * box.dx
     stencil = particles.cic_stencil(X, box)
     flat, wts = stencil
+    near_origin = (Ellipsis,) + (slice(0, 2),) * d
     rng = np.random.Generator(np.random.PCG64(8))
-    for channels in (d, d + 1):
-        field = rng.standard_normal((channels,) + box.shape)
-        ref = np.sum(field.reshape(channels, -1)[..., flat] * wts, axis=-1)
+    for channels in ((), (d,), (d + 1,)):
+        field = rng.standard_normal(channels + box.shape)
+        field[near_origin] = -np.abs(field[near_origin])
+        field[(Ellipsis,) + (0,) * d] = -0.0
+        ref = np.sum(field.reshape(channels + (-1,))[..., flat] * wts,
+                     axis=-1)
         out = particles.interpolate(field, X, box, stencil)
         assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
         assert out.strides == ref.strides
+
+
+def test_interpolate_stack_builds_no_corner_temporary():
+    # a 2-channel read at 10k particles peaks below one (2, 4, n) array,
+    # the size of a gather of every corner at once
+    box = BoxSpec(2, 2.0 * math.pi, 128)
+    n = 10_000
+    X = make_ensemble(box, n, 3).X
+    stencil = particles.cic_stencil(X, box)
+    field = np.random.Generator(np.random.PCG64(4)).standard_normal(
+        (2,) + box.shape)
+    particles.interpolate(field, X, box, stencil)
+    tracemalloc.start()
+    try:
+        particles.interpolate(field, X, box, stencil)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 4 * n * 8
 
 
 def test_convolve_constant_kernel_gives_integrals():
