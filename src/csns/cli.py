@@ -63,7 +63,11 @@ def cmd_run(args):
         return 2
     try:
         if args.resume:
-            result = driver.resume_run(args.resume)
+            try:
+                result = driver.resume_run(args.resume)
+            except (OSError, io.BadCheckpoint) as exc:
+                print(f"cannot resume: {exc}", file=sys.stderr)
+                return 1
         else:
             cfg = io.parse_config(args.config)
             if args.seed is not None:
@@ -255,3 +259,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -285,7 +285,10 @@ class WavenumberGrid:
 
 @lru_cache(maxsize=32)
 def wavenumbers(box):
-    """Build the WavenumberGrid for a box (cached; one table per geometry)."""
+    """Build the WavenumberGrid for a box (cached; one table per geometry).
+
+    Every array of the grid is read-only, since all callers share it.
+    """
     d, N = box.d, box.N
     scale = TWO_PI / box.L
     full = full_order_indices(N)
@@ -318,5 +321,7 @@ def wavenumbers(box):
         shape[a] = len(per_axis_idx[a])
         mask &= (np.abs(per_axis_idx[a]) <= cut).reshape(shape)
 
+    for arr in (*per_axis_idx, *per_axis_xi, *xi, xi_sq, inv, weight, mask):
+        arr.setflags(write=False)
     return WavenumberGrid(box, per_axis_idx, per_axis_xi, xi, xi_sq, inv,
                           weight, mask)

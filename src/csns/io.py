@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,11 @@ _FIELD_ENTRY = struct.Struct("<16sQQ")
 
 class BadSnapshot(ValueError):
     pass
+
+
+class BadCheckpoint(ValueError):
+    """A checkpoint that cannot be decoded, or a series that holds fewer
+    rows than its checkpoint; the message names the file."""
 
 
 def _build_section(cls, data, path, errors):
@@ -164,7 +170,7 @@ class TimeseriesWriter:
         with open(path, "r+", newline="") as fh:
             for _ in range(keep):
                 if not fh.readline():
-                    raise ValueError(
+                    raise BadCheckpoint(
                         f"{path} holds fewer rows than its checkpoint")
             fh.truncate(fh.tell())
         w = cls(path, columns, state["c_sq"], _append=True)
@@ -260,18 +266,28 @@ def write_checkpoint(path, cfg, state, recorder_state, writer_state):
 
 
 def read_checkpoint(path):
-    with np.load(path, allow_pickle=False) as npz:
-        version = int(npz["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        return {
-            "cfg": config_from_data(json.loads(str(npz["config_json"]))),
-            "t": float(npz["t"]),
-            "step_index": int(npz["step_index"]),
-            "c": npz["c"],
-            "X": npz["X"],
-            "V": npz["V"],
-            "w": npz["w"],
-            "recorder_state": json.loads(str(npz["recorder_json"])),
-            "writer_state": json.loads(str(npz["writer_json"])),
-        }
+    """Load a checkpoint; a file that cannot be decoded raises BadCheckpoint.
+
+    A stored configuration that fails validation raises ConfigError.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            version = int(npz["version"])
+            saved = {
+                "t": float(npz["t"]),
+                "step_index": int(npz["step_index"]),
+                "c": npz["c"],
+                "X": npz["X"],
+                "V": npz["V"],
+                "w": npz["w"],
+                "recorder_state": json.loads(str(npz["recorder_json"])),
+                "writer_state": json.loads(str(npz["writer_json"])),
+            }
+            cfg_data = json.loads(str(npz["config_json"]))
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise BadCheckpoint(f"{path}: unreadable checkpoint ({exc})") from exc
+    if version != CHECKPOINT_VERSION:
+        raise BadCheckpoint(f"{path}: unsupported checkpoint version "
+                            f"{version}")
+    saved["cfg"] = config_from_data(cfg_data)
+    return saved

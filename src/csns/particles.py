@@ -142,12 +142,15 @@ def deposit_moments(ens, box):
 
 @lru_cache(maxsize=32)
 def kernel_hat(kernel, box):
-    """Spectrum of the kernel sampled at minimal-image grid offsets (cached)."""
+    """Spectrum of the kernel sampled at minimal-image grid offsets (cached,
+    read-only)."""
     off = (np.arange(box.N) + box.N // 2) % box.N - box.N // 2
     coords = np.meshgrid(*([off * box.dx] * box.d), indexing="ij")
     r = np.sqrt(sum(cc * cc for cc in coords))
     phi, _ = eval_phi(kernel, r)
-    return np.fft.rfftn(phi, norm="forward").real
+    spectrum = np.fft.rfftn(phi, norm="forward").real
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def _smoothed(g, kernel, box):

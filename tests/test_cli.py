@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,46 @@ def test_resume_via_cli_matches_uninterrupted(tmp_path):
     assert cli.main(["run", "--resume", str(part.checkpoint_paths[-1])]) == 0
     assert (tmp_path / "full" / "series.csv").read_bytes() \
         == (tmp_path / "split" / "series.csv").read_bytes()
+
+
+def split_run(tmp_path):
+    """A run stopped after 10 of 20 steps, with its checkpoint."""
+    _, cfg = write_config(tmp_path,
+                          output=OutputSpec(dir=str(tmp_path / "out"),
+                                            series="series.csv",
+                                            series_every_steps=5))
+    part = driver.run(cfg, stop_after_steps=10)
+    return part.checkpoint_paths[-1], part.series_path
+
+
+def test_resume_from_cut_checkpoint_exits_1(tmp_path, capsys):
+    checkpoint, _ = split_run(tmp_path)
+    cut = tmp_path / "cut.npz"
+    cut.write_bytes(checkpoint.read_bytes()[:2000])
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    for path in (cut, empty, tmp_path / "missing.npz"):
+        assert cli.main(["run", "--resume", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+
+def test_resume_without_series_exits_1(tmp_path, capsys):
+    checkpoint, series = split_run(tmp_path)
+    series.unlink()
+    assert cli.main(["run", "--resume", str(checkpoint)]) == 1
+    assert str(series) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["csns", "csns.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    missing = tmp_path / "missing.csv"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-m", module, "verify",
+                          str(missing)], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 1
+    assert str(missing) in out.stderr
 
 
 def test_verify_flags_bad_series(tmp_path, capsys):

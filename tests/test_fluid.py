@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csns.domain import BoxSpec, wavenumbers
-from csns import fluid, oracle
+from csns.domain import BoxSpec, KernelSpec, wavenumbers
+from csns import fluid, oracle, particles
 
 BOX2 = BoxSpec(2, 2 * math.pi, 32)
 BOX3 = BoxSpec(3, 2 * math.pi, 16)
@@ -193,3 +193,97 @@ def test_velocity_field_round_trip():
     u = random_field(BOX2, 5, 2)
     vf = fluid.VelocityField.from_values(BOX2, u)
     assert np.max(np.abs(vf.values() - u)) < 1e-12
+
+
+# The full-grid formula the retained-block right-hand side replaced: the
+# dealiased field through irfftn, one rfftn per product, the dealias mask
+# on the whole half spectrum, then the full-array projection.
+
+def reference_advection(c, box):
+    grid = wavenumbers(box)
+    u = fluid.inverse_transform(np.where(grid.dealias, c, 0.0), box)
+    out = np.zeros_like(c)
+    for a in range(box.d):
+        for b in range(a, box.d):
+            t_hat = fluid.forward_transform(u[a] * u[b], box)
+            out[a] = out[a] - 1j * grid.xi[b] * t_hat
+            if b != a:
+                out[b] = out[b] - 1j * grid.xi[a] * t_hat
+    return np.where(grid.dealias, out, 0.0)
+
+
+def reference_nonlinear(c, box):
+    return fluid.leray_project(reference_advection(c, box), box)
+
+
+def reference_pressure(c, box, h_hat):
+    grid = wavenumbers(box)
+    g = reference_advection(c, box) + h_hat
+    div = np.zeros(box.spectral_shape, dtype=complex)
+    for a in range(box.d):
+        div = div + grid.xi[a] * g[a]
+    return fluid.inverse_transform(-1j * div * grid.inv_xi_sq, box)
+
+
+def reference_ns_step(c, box, nu, dt, h_hat):
+    hp = fluid.leray_project(h_hat, box)
+    decay = np.exp(-nu * wavenumbers(box).xi_sq * dt)
+    g0 = reference_nonlinear(c, box) + hp
+    g1 = reference_nonlinear(decay * (c + dt * g0), box) + hp
+    return decay * (c + 0.5 * dt * g0) + 0.5 * dt * g1
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+BIT_BOXES = [BoxSpec(2, 2 * math.pi, 8), BoxSpec(2, 2 * math.pi, 32),
+             BoxSpec(2, 2 * math.pi, 128), BoxSpec(3, 2 * math.pi, 8),
+             BoxSpec(3, 2 * math.pi, 16)]
+
+
+@pytest.mark.parametrize("box", BIT_BOXES, ids=lambda b: f"{b.d}d{b.N}")
+def test_retained_block_rhs_matches_full_grid_bits(box):
+    c = fluid.forward_transform(random_field(box, 21, box.d), box)
+    h_hat = fluid.forward_transform(random_field(box, 22, box.d), box)
+    assert_same_bits(fluid.nonlinear_term(c, box), reference_nonlinear(c, box))
+    assert_same_bits(fluid.pressure_solve(c, box, h_hat),
+                     reference_pressure(c, box, h_hat))
+    zero = np.zeros_like(c)
+    assert_same_bits(fluid.pressure_solve(c, box),
+                     reference_pressure(c, box, zero))
+    for _ in range(2):  # the second call takes the cached integrating factor
+        assert_same_bits(fluid.ns_step(c, box, 0.7, 1e-2, h_hat),
+                         reference_ns_step(c, box, 0.7, 1e-2, h_hat))
+
+
+@pytest.mark.parametrize("box", BIT_BOXES, ids=lambda b: f"{b.d}d{b.N}")
+def test_retained_block_is_the_dealias_mask(box):
+    block = fluid.retained_block(box)
+    mask = np.zeros(box.spectral_shape, dtype=bool)
+    mask[block.index] = True
+    assert np.array_equal(mask, wavenumbers(box).dealias)
+    assert block.inv_xi_sq.shape == mask[block.index].shape
+
+
+@pytest.mark.parametrize("table", [
+    lambda: wavenumbers(BOX2).xi_sq,
+    lambda: wavenumbers(BOX2).xi[0],
+    lambda: wavenumbers(BOX2).axis_xi[1],
+    lambda: wavenumbers(BOX2).dealias,
+    lambda: wavenumbers(BOX2).parseval_weight,
+    lambda: fluid.retained_block(BOX3).inv_xi_sq,
+    lambda: fluid.retained_block(BOX3).xi[2],
+    lambda: fluid.retained_block(BOX3).rows,
+    lambda: fluid._viscous_decay(BOX2, 1.0, 1e-3),
+    lambda: particles.kernel_hat(KernelSpec("inverse_power", 2.0), BOX2),
+], ids=["xi_sq", "xi", "axis_xi", "dealias", "parseval_weight",
+        "block_inv_xi_sq", "block_xi", "block_rows", "decay", "kernel_hat"])
+def test_cached_tables_are_read_only(table):
+    arr = table()
+    with pytest.raises(ValueError, match="read-only"):
+        arr[(0,) * arr.ndim] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        arr *= 2
