@@ -119,11 +119,15 @@ def print_checks(checks):
 
 def cmd_verify(args):
     try:
-        data = io.read_timeseries(args.series)
+        data = io.read_timeseries(args.series, diagnostics.csv_columns(2))
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    checks = list(diagnostics.verify_timeseries(data))
+    except io.BadSeries as exc:
+        checks = [CheckResult(f"series:{Path(args.series).name}", False,
+                              str(exc))]
+    else:
+        checks = list(diagnostics.verify_timeseries(data))
     for snap in args.snapshots:
         checks.extend(snapshot_checks(Path(snap)))
     return 0 if print_checks(checks) else 1

@@ -19,7 +19,20 @@ from .domain import wavenumbers
 
 
 class SimulationUnstable(RuntimeError):
-    pass
+    """A step left a nonfinite energy.
+
+    quantity names it ("fluid energy", "particle energy" or both), step is
+    the failing step, cfl the advective number u_inf dt / dx of the last
+    good state with the dt it stepped with, and checkpoint the last one
+    written (or None).
+    """
+
+    def __init__(self, message, quantity, step, cfl, checkpoint):
+        super().__init__(message)
+        self.quantity = quantity
+        self.step = step
+        self.cfl = cfl
+        self.checkpoint = checkpoint
 
 
 @dataclass(eq=False)
@@ -156,6 +169,22 @@ def resume_run(checkpoint_path, stop_after_steps=None):
     return _advance(cfg, state, recorder, writer, stop_after_steps)
 
 
+def _unstable(state, good, dt, box, e_fluid, e_kin, series, checkpoints):
+    """The SimulationUnstable for a step from the state good to state."""
+    quantity = " and ".join(name for name, e in (("fluid energy", e_fluid),
+                                                 ("particle energy", e_kin))
+                            if not np.isfinite(e))
+    cfl = fluid.max_speed(good.u.values()) * dt / box.dx
+    checkpoint = checkpoints[-1] if checkpoints else None
+    where = f"; last checkpoint {checkpoint}" if checkpoint else \
+        "; no checkpoint written"
+    return SimulationUnstable(
+        f"nonfinite {quantity} at t = {state.t:.6g}, step "
+        f"{state.step_index}; the last good state (step {good.step_index}) "
+        f"stepped with CFL u_inf*dt/dx = {cfl:.3g}; partial series kept at "
+        f"{series}{where}", quantity, state.step_index, cfl, checkpoint)
+
+
 def _advance(cfg, state, recorder, writer, stop_after_steps):
     outdir = Path(cfg.output.dir)
     out = cfg.output
@@ -179,18 +208,15 @@ def _advance(cfg, state, recorder, writer, stop_after_steps):
         if cfg.adaptive:
             dt = min(dt, adaptive_dt(state, cfg.cfl, cfg.box))
         dt = min(dt, cfg.t_end - state.t)
-        state = coupled_step(state, cfg, dt)
+        good, state = state, coupled_step(state, cfg, dt)
         n_steps += 1
 
-        e_now = diagnostics.energy(state)[0]
+        e_now, e_fluid, e_kin = diagnostics.energy(state)
         if not np.isfinite(e_now):
             writer.suspend()
-            where = f" (last checkpoint {checkpoints[-1]})" if checkpoints \
-                else ""
-            raise SimulationUnstable(
-                f"nonfinite energy at t = {state.t:.6g}, "
-                f"step {state.step_index}; partial series kept at "
-                f"{writer.path}{where}")
+            raise _unstable(state, good, dt, cfg.box, e_fluid, e_kin,
+                            writer.path, checkpoints)
+        del good
         max_rise = max(max_rise, e_now - prev_e)
         prev_e = e_now
 

@@ -7,8 +7,15 @@ arrays have shape (d, N, ..., N//2+1); physical arrays (d, N, ..., N).
 
 from __future__ import annotations
 
+import math
+import os
+import threading
+# imported with the module, not on the first large call: made while a
+# step's arrays are live, the import's allocations kept about 6 MB more of
+# the heap resident on a 64^3 run
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -131,51 +138,224 @@ def retained_block(box):
     return block
 
 
-def _block_inverse(cb, block, box):
-    """Physical samples of one component whose spectrum is zero off the block.
+# Rows of axis 0 per chunk of the block transforms: about 2^15 grid points,
+# 256 kB of float64, so that a chunk's passes stay in a core's cache.
+_CHUNK_POINTS = 2**15
+
+
+class _Work:
+    """One thread's work buffers for the block transforms of one grid.
+
+    Axis 0 is transformed on the whole block at once, between the two
+    arrays of lines (the block's lines, padded to N on axis 0).  Every other
+    pass runs on chunks of step rows of axis 0, starting from the chunk of
+    the product, so no full-grid complex array is formed; each 1-D line and
+    its transform stay as they were, so the bits do not change.  Two chunk
+    buffers hold a chunk's half spectrum (half), its real product (product)
+    and, in 3D, the padded lines of axis 1 (pad) and their transform (mid).
+    Written for d = 2 and 3, the dimensions validate_config allows.
+    """
+
+    def __init__(self, box):
+        block = retained_block(box)
+        N, d = box.N, box.d
+        self.box, self.block = box, block
+        self.step = step = max(1, min(N, _CHUNK_POINTS // N ** (d - 1)))
+        lines = (N,) + (len(block.rows),) * (d - 2) + (block.cols,)
+        self.lines = (np.empty(lines, dtype=complex),
+                      np.empty(lines, dtype=complex))
+        self.half = np.empty((step,) + box.spectral_shape[1:], dtype=complex)
+        spare = np.empty(self.half.size, dtype=complex)
+        self.product = spare.view(float)[:step * N ** (d - 1)].reshape(
+            (step,) + box.shape[1:])
+        mid = (step,) + (N,) * (d - 2) + (block.cols,)
+        self.pad = self.half.reshape(-1)[:math.prod(mid)].reshape(mid)
+        self.mid = spare[:math.prod(mid)].reshape(mid)
+
+
+def _block_inverse(cb, out, work):
+    """Write into out the physical samples of one component whose spectrum
+    is zero off the block.
 
     These are the 1-D passes of np.fft.irfftn, in its axis order, run only
     on lines that can hold a retained mode: each leading axis is zero-padded
     to N just before its pass, and irfft pads the last axis itself.
     """
-    for axis in range(box.d - 1):
-        shape = list(cb.shape)
-        shape[axis] = box.N
-        full = np.zeros(shape, dtype=complex)
-        full[(slice(None),) * axis + (block.rows,)] = cb
-        cb = np.fft.ifft(full, axis=axis, norm="forward")
-    return np.fft.irfft(cb, n=box.N, axis=-1, norm="forward")
+    rows, step = work.block.rows, work.step
+    full, t0 = work.lines
+    full.fill(0)
+    full[rows] = cb
+    np.fft.ifft(full, axis=0, norm="forward", out=t0)
+    N = len(out)
+    for r0 in range(0, N, step):
+        chunk = slice(r0, r0 + step)
+        t = t0[chunk]
+        if t.ndim == 3:
+            k = len(t)
+            pad = work.pad[:k]
+            pad.fill(0)
+            pad[:, rows] = t
+            t = np.fft.ifft(pad, axis=1, norm="forward", out=work.mid[:k])
+        np.fft.irfft(t, n=N, axis=-1, norm="forward", out=out[chunk])
+    return out
 
 
-def _block_forward(p, block, box):
-    """The block of the rfft coefficients of one physical field.
+def _product_block(ua, ub, out, work):
+    """Write into out the block of the rfft coefficients of ua * ub.
 
     These are the 1-D passes of np.fft.rfftn, in its axis order, each cut to
     the retained modes of its axis before the next pass.
     """
-    t = np.fft.rfft(p, axis=-1, norm="forward")[..., :block.cols]
-    for axis in range(box.d - 2, -1, -1):
-        t = np.take(np.fft.fft(t, axis=axis, norm="forward"), block.rows,
-                    axis=axis)
-    return t
+    rows, cols, step = work.block.rows, work.block.cols, work.step
+    lines, spare = work.lines
+    N = len(ua)
+    for r0 in range(0, N, step):
+        chunk = slice(r0, r0 + step)
+        k = min(step, N - r0)
+        p = np.multiply(ua[chunk], ub[chunk], out=work.product[:k])
+        t = np.fft.rfft(p, axis=-1, norm="forward",
+                        out=work.half[:k])[..., :cols]
+        if t.ndim == 2:
+            lines[chunk] = t
+        else:
+            t = np.fft.fft(t, axis=1, norm="forward", out=work.mid[:k])
+            np.take(t, rows, axis=1, out=lines[chunk], mode="clip")
+    t = np.fft.fft(lines, axis=0, norm="forward", out=spare)
+    return np.take(t, rows, axis=0, out=out, mode="clip")
+
+
+# Transform lanes: the block transforms of one call are independent jobs,
+# and numpy's FFT releases the GIL, so on grids of at least
+# _LANE_MIN_POINTS points they are spread over one lane per usable CPU.
+# The calling thread is lane 0; every other lane is a pool thread.  Each
+# thread owns its work buffers and every output is allocated by the caller,
+# so no large array is allocated or freed on a pool thread.  Each transform
+# runs whole on one thread, so the bytes do not depend on the lane count.
+_LANE_MIN_POINTS = 2**17
+_lanes = None  # (pool or None, lane count), made on the first large call
+_lanes_lock = threading.Lock()
+_owned = threading.local()
+
+
+def _thread_work(box):
+    """The _Work the current thread owns for box, made on first use and
+    made again when the grid changes."""
+    work = getattr(_owned, "work", None)
+    if work is None or work.box != box:
+        work = _owned.work = _Work(box)
+    return work
+
+
+def _run_claimed(claims, jobs, slots, box):
+    """On a pool thread: run each job it claims, in the buffers it owns."""
+    work = _thread_work(box)
+    for i in claims:
+        fn, out = jobs[i]
+        try:
+            slots[i].set_result(fn(out, work))
+        except BaseException as exc:
+            slots[i].set_exception(exc)
+
+
+def _transform_lanes(box):
+    """The pool for lanes 1.. and the lane count; (None, 1) below the gate
+    or with one usable CPU."""
+    global _lanes
+    if box.N ** box.d < _LANE_MIN_POINTS:
+        return None, 1
+    with _lanes_lock:
+        if _lanes is None:
+            count = len(os.sched_getaffinity(0))
+            pool = None if count == 1 else ThreadPoolExecutor(
+                count - 1, thread_name_prefix="csns-fft",
+                initializer=_thread_work, initargs=(box,))
+            _lanes = (pool, count)
+    return _lanes
+
+
+def _forget_lanes():
+    """A forked child has none of the pool's threads, so its next large
+    call starts a pool of its own."""
+    global _lanes, _lanes_lock
+    _lanes, _lanes_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_lanes)
+
+
+class _Claims:
+    """Indices 0..n-1, each handed to exactly one of the lanes that ask."""
+
+    def __init__(self, n):
+        self._next = iter(range(n))
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        with self._lock:
+            return next(self._next)
+
+
+def _lane_map(jobs, box, work):
+    """Yield fn(out, work) for each (fn, out) of jobs, in order.
+
+    With lanes, the lanes claim jobs in order; lane 0 is the caller, in
+    work, and between its own jobs it yields every result that is ready.
+    A yielded job is dropped, so its output lives no longer than the caller
+    holds it.
+    """
+    pool, count = _transform_lanes(box)
+    if pool is None:
+        for fn, out in jobs:
+            yield fn(out, work)
+        return
+    slots = [Future() for _ in jobs]
+    claims = _Claims(len(jobs))
+    for _ in range(count - 1):
+        pool.submit(_run_claimed, claims, jobs, slots, box)
+
+    def result(k):
+        done = slots[k].result()
+        jobs[k] = slots[k] = None
+        return done
+
+    ready = 0
+    for i in claims:
+        fn, out = jobs[i]
+        slots[i].set_result(fn(out, work))
+        while ready < len(jobs) and slots[ready].done():
+            yield result(ready)
+            ready += 1
+    for k in range(ready, len(jobs)):
+        yield result(k)
 
 
 def _advection_block(c, box):
     """-(u . grad) u in divergence form on the retained block, unprojected.
 
     u is the velocity of c dealiased by the 2/3 rule; every mode off the
-    block is zero in the dealiased transform, so it is never computed.
+    block is zero in the dealiased transform, so it is never computed.  The
+    d inverse and d(d+1)/2 forward block transforms run over the lanes, and
+    each product's transform is added in as soon as it and those before it
+    are done, in the order of the serial sum.
     """
     block = retained_block(box)
     cb = c[(slice(None),) + block.index]
-    u = [_block_inverse(cb[a], block, box) for a in range(box.d)]
+    work = _thread_work(box)
+    u = [np.empty(box.shape) for _ in range(box.d)]
+    for _ in _lane_map([(partial(_block_inverse, cb[a]), u[a])
+                        for a in range(box.d)], box, work):
+        pass
+    pairs = [(a, b) for a in range(box.d) for b in range(a, box.d)]
     out = np.zeros_like(cb)
-    for a in range(box.d):
-        for b in range(a, box.d):
-            t_hat = _block_forward(u[a] * u[b], block, box)
-            out[a] = out[a] - 1j * block.xi[b] * t_hat
-            if b != a:
-                out[b] = out[b] - 1j * block.xi[a] * t_hat
+    for (a, b), t_hat in zip(pairs, _lane_map(
+            [(partial(_product_block, u[a], u[b]), np.empty_like(cb[0]))
+             for a, b in pairs], box, work)):
+        out[a] = out[a] - 1j * block.xi[b] * t_hat
+        if b != a:
+            out[b] = out[b] - 1j * block.xi[a] * t_hat
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import zipfile
 from pathlib import Path
@@ -23,6 +24,11 @@ _FIELD_ENTRY = struct.Struct("<16sQQ")
 
 class BadSnapshot(ValueError):
     pass
+
+
+class BadSeries(ValueError):
+    """A series file that cannot be read as a whole table of rows; the
+    message names the file."""
 
 
 class BadCheckpoint(ValueError):
@@ -180,9 +186,49 @@ class TimeseriesWriter:
         return w
 
 
-def read_timeseries(path):
-    """Load a diagnostics CSV as a structured array keyed by column name."""
-    return np.genfromtxt(path, delimiter=",", names=True)
+def read_timeseries(path, columns=()):
+    """Load a diagnostics CSV as a structured array keyed by column name.
+
+    A file that is not UTF-8 text, has no rows, has a row of the wrong
+    length or lacks one of columns raises BadSeries.  With columns given the
+    file is taken for a series the writer made, which ends every row with a
+    newline, so a last row without one counts as cut.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadSeries(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    if not text.strip():
+        raise BadSeries(f"{path}: empty file")
+    if columns and not text.endswith("\n"):
+        raise BadSeries(f"{path}: the last row is cut")
+    try:
+        data = np.genfromtxt(text.splitlines(), delimiter=",", names=True)
+    except ValueError as exc:
+        raise BadSeries(f"{path}: {' '.join(str(exc).split())}") from exc
+    if data.size == 0:
+        raise BadSeries(f"{path}: no rows")
+    missing = [c for c in columns if c not in (data.dtype.names or ())]
+    if missing:
+        raise BadSeries(f"{path}: no column {', '.join(missing)}")
+    return data
+
+
+def _write_atomically(path, write):
+    """Call write(fh) on a temporary file beside path, then move it to path.
+
+    A write that fails part-way leaves no file under path (nor a changed
+    one) and removes the temporary, which is named .<name>.tmp.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_snapshot(path, box, t, u_phys, X, V, w):
@@ -196,7 +242,8 @@ def write_snapshot(path, box, t, u_phys, X, V, w):
     fields += [("X", np.ascontiguousarray(X, dtype="<f8").ravel()),
                ("V", np.ascontiguousarray(V, dtype="<f8").ravel()),
                ("w", np.ascontiguousarray(w, dtype="<f8").ravel())]
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, box.d, box.N,
                               box.L, t, X.shape[0], len(fields)))
         offset = 0
@@ -205,6 +252,8 @@ def write_snapshot(path, box, t, u_phys, X, V, w):
             offset += arr.size
         for _, arr in fields:
             fh.write(arr.tobytes())
+
+    _write_atomically(path, write)
 
 
 def read_snapshot(path):
@@ -254,15 +303,17 @@ def read_snapshot(path):
 
 def write_checkpoint(path, cfg, state, recorder_state, writer_state):
     """Everything needed to continue a run bit-identically."""
-    np.savez(path,
-             version=np.int64(CHECKPOINT_VERSION),
-             config_json=serialize_config(cfg),
-             t=np.float64(state.t),
-             step_index=np.int64(state.step_index),
-             c=state.u.c,
-             X=state.ens.X, V=state.ens.V, w=state.ens.w,
-             recorder_json=json.dumps(recorder_state),
-             writer_json=json.dumps(writer_state))
+    # np.savez is given the open file: it appends .npz to a bare name
+    _write_atomically(path, lambda fh: np.savez(
+        fh,
+        version=np.int64(CHECKPOINT_VERSION),
+        config_json=serialize_config(cfg),
+        t=np.float64(state.t),
+        step_index=np.int64(state.step_index),
+        c=state.u.c,
+        X=state.ens.X, V=state.ens.V, w=state.ens.w,
+        recorder_json=json.dumps(recorder_state),
+        writer_json=json.dumps(writer_state)))
 
 
 def read_checkpoint(path):

@@ -192,6 +192,65 @@ def test_verify_fails_cleanly_on_cut_snapshot(tmp_path, capsys):
     assert f"snapshot:{snap.name}  FAIL" in out
 
 
+def finished_series(tmp_path):
+    config_path, _ = write_config(tmp_path)
+    assert cli.main(["run", str(config_path)]) == 0
+    return tmp_path / "out" / "series.csv"
+
+
+def assert_verify_fails_on(path, capsys):
+    assert cli.main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"series:{path.name}  FAIL  {path}" in out
+    return out
+
+
+def test_verify_fails_cleanly_on_empty_series(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    assert "empty file" in assert_verify_fails_on(path, capsys)
+
+
+def test_verify_fails_cleanly_on_non_utf8_series(tmp_path, capsys):
+    series = finished_series(tmp_path)
+    capsys.readouterr()
+    raw = bytearray(series.read_bytes())
+    raw[raw.index(b"\n") + 1] = 0xff
+    series.write_bytes(bytes(raw))
+    assert "not UTF-8" in assert_verify_fails_on(series, capsys)
+
+
+def test_verify_fails_cleanly_on_missing_columns(tmp_path, capsys):
+    path = tmp_path / "decay.csv"
+    path.write_text("t,E\n0.0,1.0\n0.1,0.9\n")
+    assert "no column E_fluid" in assert_verify_fails_on(path, capsys)
+
+
+def test_verify_fails_cleanly_on_series_cut_mid_row(tmp_path, capsys):
+    series = finished_series(tmp_path)
+    capsys.readouterr()
+    raw = series.read_bytes()
+    series.write_bytes(raw[:raw.index(b"\n", 200) + 40])
+    assert "the last row is cut" in assert_verify_fails_on(series, capsys)
+
+
+def test_verify_still_checks_snapshots_of_a_bad_series(tmp_path, capsys):
+    config_path, _ = write_config(
+        tmp_path,
+        output=OutputSpec(dir=str(tmp_path / "out"), series="series.csv",
+                          series_every_steps=5, snapshot_every_steps=10))
+    cli.main(["run", str(config_path)])
+    capsys.readouterr()
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    snap = sorted((tmp_path / "out").glob("snapshot_*.csns"))[0]
+    assert cli.main(["verify", str(empty), str(snap)]) == 1
+    out = capsys.readouterr().out
+    rows = [line.split()[:2] for line in out.splitlines()]
+    assert rows == [["series:empty.csv", "FAIL"], [f"snapshot:{snap.name}",
+                                                   "PASS"]]
+
+
 def test_fit_decay_command(tmp_path, capsys):
     cols = ["t", "E"]
     path = tmp_path / "decay.csv"

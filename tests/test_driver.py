@@ -285,10 +285,43 @@ def test_blowup_raises_and_keeps_partial_series(tmp_path):
                               fluid_params={"xi_cut": 4.5, "u_rms": 20.0}),
         output=OutputSpec(dir=str(tmp_path), series="series.csv",
                           series_every_steps=1))
-    with np.errstate(all="ignore"), pytest.raises(driver.SimulationUnstable,
-                                                  match="nonfinite energy"):
+    with np.errstate(all="ignore"), pytest.raises(
+            driver.SimulationUnstable, match="nonfinite fluid energy") as exc:
         driver.run(cfg)
     assert (tmp_path / "series.csv").exists()
+    err = exc.value
+    assert err.quantity == "fluid energy"
+    assert err.checkpoint is None and "no checkpoint written" in str(err)
+    assert f"step {err.step};" in str(err)
+    # the CFL number of the state before the failing step, from its velocity
+    good = driver.initial_state(cfg)
+    with np.errstate(all="ignore"):
+        while good.step_index < err.step - 1:
+            good = driver.coupled_step(good, cfg, cfg.dt)
+    cfl = fluid.max_speed(good.u.values()) * cfg.dt / cfg.box.dx
+    assert math.isfinite(cfl) and err.cfl == cfl
+    assert f"CFL u_inf*dt/dx = {cfl:.3g}" in str(err)
+
+
+def test_blowup_names_particle_energy_and_checkpoint(tmp_path, monkeypatch):
+    cfg = coupled_config(tmp_path, output=OutputSpec(
+        dir=str(tmp_path), series="series.csv", series_every_steps=1,
+        checkpoint_every_steps=2))
+    energy = diagnostics.energy
+
+    def particles_blow_up_at_step_3(state):
+        e, e_fluid, e_kin = energy(state)
+        return (e, e_fluid, e_kin) if state.step_index < 3 \
+            else (math.inf, e_fluid, math.inf)
+
+    monkeypatch.setattr(diagnostics, "energy", particles_blow_up_at_step_3)
+    with pytest.raises(driver.SimulationUnstable,
+                       match="nonfinite particle energy") as exc:
+        driver.run(cfg)
+    assert exc.value.quantity == "particle energy"
+    assert exc.value.step == 3
+    assert exc.value.checkpoint == tmp_path / "checkpoint_00000002.npz"
+    assert f"last checkpoint {exc.value.checkpoint}" in str(exc.value)
 
 
 def test_run_series_passes_verification(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -287,3 +290,127 @@ def test_cached_tables_are_read_only(table):
         arr[(0,) * arr.ndim] = 1
     with pytest.raises(ValueError, match="read-only"):
         arr *= 2
+
+
+# Transform lanes: on grids of at least fluid._LANE_MIN_POINTS points the
+# block transforms of one call run over one lane per usable CPU.  The
+# fixtures set the usable CPUs and start from no pool, so the tests run the
+# same on any machine.
+
+BOX64 = BoxSpec(3, 2 * math.pi, 64)
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """use(count) makes count CPUs usable and drops the pool, so that the
+    next large call makes its own; that pool is shut down after the test."""
+    monkeypatch.setattr(fluid, "_lanes", None)
+
+    def use(count):
+        monkeypatch.setattr(fluid.os, "sched_getaffinity",
+                            lambda pid: set(range(count)))
+        monkeypatch.setattr(fluid, "_lanes", None)
+
+    yield use
+    if fluid._lanes and fluid._lanes[0] is not None:
+        fluid._lanes[0].shutdown()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_lanes_match_full_grid_bits_at_64(usable_cpus, cpus):
+    usable_cpus(cpus)
+    box = BOX64
+    c = fluid.forward_transform(random_field(box, 31, box.d), box)
+    h_hat = fluid.forward_transform(random_field(box, 32, box.d), box)
+    assert_same_bits(fluid.nonlinear_term(c, box), reference_nonlinear(c, box))
+    assert fluid._lanes[1] == cpus and fluid._lanes[0] is not None
+    if cpus == 3:
+        return
+    assert_same_bits(fluid.pressure_solve(c, box, h_hat),
+                     reference_pressure(c, box, h_hat))
+    assert_same_bits(fluid.pressure_solve(c, box),
+                     reference_pressure(c, box, np.zeros_like(c)))
+    for _ in range(2):
+        assert_same_bits(fluid.ns_step(c, box, 0.7, 1e-2, h_hat),
+                         reference_ns_step(c, box, 0.7, 1e-2, h_hat))
+
+
+def test_small_grid_starts_no_thread(usable_cpus):
+    usable_cpus(2)
+    box = BoxSpec(2, 2 * math.pi, 128)
+    assert box.N ** box.d < fluid._LANE_MIN_POINTS
+    c = fluid.forward_transform(random_field(box, 33, box.d), box)
+    before = threading.active_count()
+    assert_same_bits(fluid.nonlinear_term(c, box), reference_nonlinear(c, box))
+    assert threading.active_count() == before
+    assert fluid._lanes is None
+
+
+def test_one_usable_cpu_starts_no_thread(usable_cpus):
+    usable_cpus(1)
+    c = fluid.forward_transform(random_field(BOX64, 34, 3), BOX64)
+    before = threading.active_count()
+    assert_same_bits(fluid.nonlinear_term(c, BOX64),
+                     reference_nonlinear(c, BOX64))
+    assert threading.active_count() == before
+    assert fluid._lanes == (None, 1)
+
+
+def test_concurrent_callers_get_serial_bits(usable_cpus, monkeypatch):
+    # each pool thread owns its scratch, so two callers sharing the pool
+    # cannot write into each other's transforms
+    fields = [fluid.forward_transform(random_field(BOX64, s, 3), BOX64)
+              for s in (35, 36)]
+    monkeypatch.setattr(fluid, "_lanes", (None, 1))
+    serial = [fluid.nonlinear_term(c, BOX64) for c in fields]
+    usable_cpus(2)
+    start = threading.Barrier(2)
+    got = [[], []]
+
+    def call(k):
+        start.wait()
+        for _ in range(3):
+            got[k].append(fluid.nonlinear_term(fields[k], BOX64))
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for k in (0, 1):
+        assert len(got[k]) == 3
+        for g in got[k]:
+            assert_same_bits(g, serial[k])
+
+
+def test_lane_buffers_follow_the_grid(usable_cpus, monkeypatch):
+    big = BoxSpec(3, 2 * math.pi, 72)
+    c64 = fluid.forward_transform(random_field(BOX64, 37, 3), BOX64)
+    c72 = fluid.forward_transform(random_field(big, 38, 3), big)
+    monkeypatch.setattr(fluid, "_lanes", (None, 1))
+    serial = [fluid.nonlinear_term(c64, BOX64), fluid.nonlinear_term(c72, big)]
+    usable_cpus(2)
+    assert_same_bits(fluid.nonlinear_term(c64, BOX64), serial[0])
+    assert_same_bits(fluid.nonlinear_term(c72, big), serial[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_lanes(usable_cpus):
+    usable_cpus(2)
+    c = fluid.forward_transform(random_field(BOX64, 39, 3), BOX64)
+    want = fluid.nonlinear_term(c, BOX64).tobytes()
+    parent_pool = fluid._lanes[0]
+    pid = os.fork()
+    if pid == 0:
+        ok = fluid._lanes is None
+        ok = fluid.nonlinear_term(c, BOX64).tobytes() == want and ok
+        ok = fluid._lanes[0] is not parent_pool and ok
+        os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 120
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0

@@ -281,3 +281,96 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back["X"], ens.X)
     assert back["recorder_state"] == rec_state
     assert back["writer_state"] == wr_state
+
+
+class FailingWrite(RuntimeError):
+    pass
+
+
+def test_snapshot_write_failing_midway_leaves_no_file(tmp_path, monkeypatch):
+    box = BoxSpec(d=2, L=1.0, N=8)
+
+    class HeaderThenFail:
+        size = io._FIELD_ENTRY.size
+
+        def pack(self, *args):
+            raise FailingWrite("disk gone")
+
+    monkeypatch.setattr(io, "_FIELD_ENTRY", HeaderThenFail())
+    path = tmp_path / "snapshot_00000010.csns"
+    with pytest.raises(FailingWrite):
+        io.write_snapshot(path, box, 0.0, np.zeros((2,) + box.shape),
+                          np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0))
+    assert list(tmp_path.iterdir()) == []
+
+
+def resting_state(box, step_index, n):
+    from types import SimpleNamespace
+
+    from csns import fluid, particles
+
+    return SimpleNamespace(
+        t=1e-3 * step_index, step_index=step_index,
+        u=fluid.VelocityField(box, np.zeros((2,) + box.spectral_shape,
+                                            dtype=complex)),
+        ens=particles.ParticleEnsemble(np.zeros((n, 2)), np.zeros((n, 2)),
+                                       np.ones(n) / max(n, 1)))
+
+
+def test_checkpoint_write_failing_midway_leaves_no_file(tmp_path,
+                                                        monkeypatch):
+    cfg = sample_config(outdir=str(tmp_path))
+    state = resting_state(cfg.box, 500, 1)
+    path = tmp_path / "checkpoint_00000500.npz"
+    io.write_checkpoint(path, cfg, state, {}, {})
+    good = path.read_bytes()
+
+    def savez_fails_midway(fh, **arrays):
+        fh.write(b"PK\x03\x04 a partial zip")
+        raise FailingWrite("disk gone")
+
+    monkeypatch.setattr(np, "savez", savez_fails_midway)
+    with pytest.raises(FailingWrite):
+        io.write_checkpoint(path, cfg, state, {}, {})
+    # the earlier checkpoint under the name is kept whole; no temp is left
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    fresh = tmp_path / "checkpoint_00000600.npz"
+    with pytest.raises(FailingWrite):
+        io.write_checkpoint(fresh, cfg, state, {}, {})
+    assert not fresh.exists()
+    assert sorted(tmp_path.glob("checkpoint_*.npz")) == [path]
+
+
+def test_checkpoint_keeps_its_name(tmp_path):
+    cfg = sample_config(outdir=str(tmp_path))
+    path = tmp_path / "ck"
+    io.write_checkpoint(path, cfg, resting_state(cfg.box, 0, 0), {}, {})
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    assert io.read_checkpoint(path)["step_index"] == 0
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"", "empty file"),
+    (b"t,E\n", "no rows"),
+    (b"t,E\n0.0,1.0\n\xff\xfe,2.0\n", "not UTF-8"),
+    (b"t,E\n0.0,1.0\n0.1\n0.2,0.8\n", "got 1 columns instead of 2"),
+], ids=["empty", "header_only", "non_utf8", "ragged"])
+def test_read_timeseries_names_the_bad_file(tmp_path, content, reason):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(io.BadSeries, match=reason) as exc:
+        io.read_timeseries(path)
+    assert str(path) in str(exc.value)
+
+
+def test_read_timeseries_checks_columns_and_cut_rows(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("t,E\n0.0,1.0\n0.1,0.9\n")
+    assert io.read_timeseries(path, ["t", "E"])["E"][1] == 0.9
+    with pytest.raises(io.BadSeries, match="no column rho_l1"):
+        io.read_timeseries(path, ["t", "E", "rho_l1"])
+    path.write_text("t,E\n0.0,1.0\n0.1,0.9")
+    assert io.read_timeseries(path)["E"][1] == 0.9
+    with pytest.raises(io.BadSeries, match="cut"):
+        io.read_timeseries(path, ["t", "E"])
