@@ -11,15 +11,17 @@ alternating, for instance:
           --seed 5 | tail -1 >> change.jsonl
     done
     python3 scripts/bench_record.py --tag lanes --workload fluid3d \\
-        --seed 5 --seconds 30 --side parent=base.jsonl \\
-        --side change=change.jsonl
+        --seed 5 --seconds 30 --side parent=base.jsonl@../base \\
+        --side change=change.jsonl@.
 
-The record holds every line, the median and quartiles of each end-to-end
-metric per side, the number of pairs the last side won against the first
-(the better direction comes from BENCHMARK.json), and what the runs ran on:
-the git commit and whether the work tree had changes, the Python and numpy
-versions, and the number of CPUs the process may use.  Records of several
-workloads go into one file: each call adds or replaces its workload.
+Each --side names the file of its result lines and the checkout that made
+them.  The record holds every line, the median and quartiles of each
+end-to-end metric per side, the number of pairs the last side won against
+the first (the better direction comes from BENCHMARK.json), and what the
+runs ran on: per side, the git commit of its checkout and whether that work
+tree had changes; the Python and numpy versions, and the number of CPUs the
+process may use.  Records of several workloads go into one file: each call
+adds or replaces its workload.
 """
 
 import argparse
@@ -66,9 +68,16 @@ def summary(sides, better):
     return out
 
 
-def git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+def git(checkout, *args):
+    return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def commit_of(checkout):
+    """The commit a checkout is at and whether its tracked files differ."""
+    return {"git_sha": git(checkout, "rev-parse", "HEAD"),
+            "work_tree_changed": bool(git(checkout, "status", "--porcelain",
+                                          "--untracked-files=no"))}
 
 
 def main():
@@ -79,32 +88,32 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--side", action="append", required=True,
-                        metavar="NAME=FILE",
-                        help="result lines of one side, in run order")
+                        metavar="NAME=FILE@CHECKOUT",
+                        help="result lines of one side, in run order, and "
+                             "the checkout that ran them")
     args = parser.parse_args()
 
-    sides = []
+    sides, commits = [], {}
     for spec in args.side:
-        name, sep, path = spec.partition("=")
-        if not sep:
-            parser.error(f"--side {spec}: expected NAME=FILE")
+        name, sep, rest = spec.partition("=")
+        path, at, checkout = rest.rpartition("@")
+        if not (sep and at):
+            parser.error(f"--side {spec}: expected NAME=FILE@CHECKOUT")
         sides.append((name, read_lines(path)))
+        commits[name] = commit_of(checkout)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     path = ROOT / f"BENCH_{args.tag}.json"
     record = json.loads(path.read_text()) if path.exists() else {
         "tag": args.tag, "workloads": {}}
-    record.update(
-        git_sha=git("rev-parse", "HEAD"),
-        work_tree_changed=bool(git("status", "--porcelain",
-                                   "--untracked-files=no")),
-        python=platform.python_version(), numpy=np.__version__,
-        usable_cpus=len(os.sched_getaffinity(0)))
+    record.update(python=platform.python_version(), numpy=np.__version__,
+                  usable_cpus=len(os.sched_getaffinity(0)))
     record["workloads"][args.workload] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} "
                    f"--seconds {args.seconds} --trace 0 --seed {args.seed}",
         "sides": [name for name, _ in sides],
+        "commits": commits,
         "summary": summary(sides, better),
         "runs": {name: runs for name, runs in sides},
     }

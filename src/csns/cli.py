@@ -117,9 +117,21 @@ def print_checks(checks):
     return all(c.passed for c in checks)
 
 
+def read_run_series(path):
+    """The series a run wrote, or BadSeries naming the file.
+
+    TimeseriesWriter ends every row with a newline, so a last row without
+    one was cut.
+    """
+    raw = Path(path).read_bytes()
+    if raw and not raw.endswith(b"\n"):
+        raise io.BadSeries(f"{path}: the last row is cut")
+    return io.read_timeseries(path, diagnostics.csv_columns(2))
+
+
 def cmd_verify(args):
     try:
-        data = io.read_timeseries(args.series, diagnostics.csv_columns(2))
+        data = read_run_series(args.series)
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 1

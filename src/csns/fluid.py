@@ -13,7 +13,7 @@ import threading
 # imported with the module, not on the first large call: made while a
 # step's arrays are live, the import's allocations kept about 6 MB more of
 # the heap resident on a 64^3 run
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -143,17 +143,24 @@ def retained_block(box):
 _CHUNK_POINTS = 2**15
 
 
+def _chunk(flat, shape):
+    """A contiguous array of shape at the start of the flat buffer flat."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
 class _Work:
     """One thread's work buffers for the block transforms of one grid.
 
-    Axis 0 is transformed on the whole block at once, between the two
-    arrays of lines (the block's lines, padded to N on axis 0).  Every other
-    pass runs on chunks of step rows of axis 0, starting from the chunk of
-    the product, so no full-grid complex array is formed; each 1-D line and
-    its transform stay as they were, so the bits do not change.  Two chunk
-    buffers hold a chunk's half spectrum (half), its real product (product)
-    and, in 3D, the padded lines of axis 1 (pad) and their transform (mid).
-    Written for d = 2 and 3, the dimensions validate_config allows.
+    lines holds the block's lines padded to N on axis 0, the only array of
+    block size.  Axis 0 is transformed on chunks of width columns of the
+    last axis (column), every other pass on chunks of step rows of axis 0,
+    starting from the chunk of the product, so no full-grid complex array
+    is formed; each 1-D line and its transform stay as they were, so the
+    bits do not change.  Two flat chunk buffers (flat) hold a chunk's half
+    spectrum (half), its real product (product) and, in 3D, the padded
+    lines of axis 1 (pad) and their transform (mid); for axis 0, a column
+    chunk and its transform, cut to the block's rows.  Written for d = 2
+    and 3, the dimensions validate_config allows.
     """
 
     def __init__(self, box):
@@ -162,15 +169,15 @@ class _Work:
         self.box, self.block = box, block
         self.step = step = max(1, min(N, _CHUNK_POINTS // N ** (d - 1)))
         lines = (N,) + (len(block.rows),) * (d - 2) + (block.cols,)
-        self.lines = (np.empty(lines, dtype=complex),
-                      np.empty(lines, dtype=complex))
+        self.lines = np.empty(lines, dtype=complex)
         self.half = np.empty((step,) + box.spectral_shape[1:], dtype=complex)
-        spare = np.empty(self.half.size, dtype=complex)
-        self.product = spare.view(float)[:step * N ** (d - 1)].reshape(
-            (step,) + box.shape[1:])
+        self.flat = (self.half.reshape(-1), np.empty(self.half.size,
+                                                     dtype=complex))
+        self.product = _chunk(self.flat[1].view(float),
+                              (step,) + box.shape[1:])
         mid = (step,) + (N,) * (d - 2) + (block.cols,)
-        self.pad = self.half.reshape(-1)[:math.prod(mid)].reshape(mid)
-        self.mid = spare[:math.prod(mid)].reshape(mid)
+        self.pad, self.mid = (_chunk(f, mid) for f in self.flat)
+        self.width = max(1, self.half.size // math.prod(lines[:-1]))
 
 
 def _block_inverse(cb, out, work):
@@ -181,11 +188,14 @@ def _block_inverse(cb, out, work):
     on lines that can hold a retained mode: each leading axis is zero-padded
     to N just before its pass, and irfft pads the last axis itself.
     """
-    rows, step = work.block.rows, work.step
-    full, t0 = work.lines
-    full.fill(0)
-    full[rows] = cb
-    np.fft.ifft(full, axis=0, norm="forward", out=t0)
+    rows, step, width = work.block.rows, work.step, work.width
+    t0 = work.lines
+    for c0 in range(0, t0.shape[-1], width):
+        cut = slice(c0, c0 + width)
+        pad = _chunk(work.flat[0], t0[..., cut].shape)
+        pad.fill(0)
+        pad[rows] = cb[..., cut]
+        np.fft.ifft(pad, axis=0, norm="forward", out=t0[..., cut])
     N = len(out)
     for r0 in range(0, N, step):
         chunk = slice(r0, r0 + step)
@@ -207,7 +217,7 @@ def _product_block(ua, ub, out, work):
     the retained modes of its axis before the next pass.
     """
     rows, cols, step = work.block.rows, work.block.cols, work.step
-    lines, spare = work.lines
+    lines, width = work.lines, work.width
     N = len(ua)
     for r0 in range(0, N, step):
         chunk = slice(r0, r0 + step)
@@ -220,19 +230,30 @@ def _product_block(ua, ub, out, work):
         else:
             t = np.fft.fft(t, axis=1, norm="forward", out=work.mid[:k])
             np.take(t, rows, axis=1, out=lines[chunk], mode="clip")
-    t = np.fft.fft(lines, axis=0, norm="forward", out=spare)
-    return np.take(t, rows, axis=0, out=out, mode="clip")
+    for c0 in range(0, cols, width):
+        column = lines[..., c0:c0 + width]
+        t = np.fft.fft(column, axis=0, norm="forward",
+                       out=_chunk(work.flat[0], column.shape))
+        out[..., c0:c0 + width] = np.take(
+            t, rows, axis=0, mode="clip",
+            out=_chunk(work.flat[1], (len(rows),) + column.shape[1:]))
+    return out
 
 
 # Transform lanes: the block transforms of one call are independent jobs,
 # and numpy's FFT releases the GIL, so on grids of at least
-# _LANE_MIN_POINTS points they are spread over one lane per usable CPU.
-# The calling thread is lane 0; every other lane is a pool thread.  Each
+# _LANE_MIN_POINTS points they run on a pool of one thread per usable CPU,
+# at most _MAX_LANES, while the caller waits for them in order.  Each
 # thread owns its work buffers and every output is allocated by the caller,
 # so no large array is allocated or freed on a pool thread.  Each transform
 # runs whole on one thread, so the bytes do not depend on the lane count.
 _LANE_MIN_POINTS = 2**17
-_lanes = None  # (pool or None, lane count), made on the first large call
+# Each lane is a pool thread with its own work buffers (1.5 MB at 64^3) and
+# malloc arena: with 2.5 MB buffers, each lane past the second added about
+# 2.5 MB to fluid3d's peak RSS, measured up to 6 lanes.  Only 2 lanes have
+# been timed, so the cap is 2 until a host with more CPUs has been measured.
+_MAX_LANES = 2
+_lanes = None  # the pool, or False with one usable CPU; set on first large call
 _lanes_lock = threading.Lock()
 _owned = threading.local()
 
@@ -246,90 +267,29 @@ def _thread_work(box):
     return work
 
 
-def _run_claimed(claims, jobs, slots, box):
-    """On a pool thread: run each job it claims, in the buffers it owns."""
-    work = _thread_work(box)
-    for i in claims:
-        fn, out = jobs[i]
-        try:
-            slots[i].set_result(fn(out, work))
-        except BaseException as exc:
-            slots[i].set_exception(exc)
-
-
-def _transform_lanes(box):
-    """The pool for lanes 1.. and the lane count; (None, 1) below the gate
-    or with one usable CPU."""
+def _lane_pool(box):
+    """The pool of transform lanes; None below the gate or with one usable
+    CPU."""
     global _lanes
     if box.N ** box.d < _LANE_MIN_POINTS:
-        return None, 1
+        return None
     with _lanes_lock:
         if _lanes is None:
-            count = len(os.sched_getaffinity(0))
-            pool = None if count == 1 else ThreadPoolExecutor(
-                count - 1, thread_name_prefix="csns-fft",
+            count = min(len(os.sched_getaffinity(0)), _MAX_LANES)
+            _lanes = count > 1 and ThreadPoolExecutor(
+                count, thread_name_prefix="csns-fft",
                 initializer=_thread_work, initargs=(box,))
-            _lanes = (pool, count)
-    return _lanes
+    return _lanes or None
 
 
-def _forget_lanes():
-    """A forked child has none of the pool's threads, so its next large
-    call starts a pool of its own."""
-    global _lanes, _lanes_lock
-    _lanes, _lanes_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_lanes)
-
-
-class _Claims:
-    """Indices 0..n-1, each handed to exactly one of the lanes that ask."""
-
-    def __init__(self, n):
-        self._next = iter(range(n))
-        self._lock = threading.Lock()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        with self._lock:
-            return next(self._next)
-
-
-def _lane_map(jobs, box, work):
-    """Yield fn(out, work) for each (fn, out) of jobs, in order.
-
-    With lanes, the lanes claim jobs in order; lane 0 is the caller, in
-    work, and between its own jobs it yields every result that is ready.
-    A yielded job is dropped, so its output lives no longer than the caller
-    holds it.
-    """
-    pool, count = _transform_lanes(box)
+def _lane_map(jobs, box):
+    """fn(out, work) for each (fn, out) of jobs, in order, each run whole
+    on one thread in the work buffers that thread owns."""
+    pool = _lane_pool(box)
     if pool is None:
-        for fn, out in jobs:
-            yield fn(out, work)
-        return
-    slots = [Future() for _ in jobs]
-    claims = _Claims(len(jobs))
-    for _ in range(count - 1):
-        pool.submit(_run_claimed, claims, jobs, slots, box)
-
-    def result(k):
-        done = slots[k].result()
-        jobs[k] = slots[k] = None
-        return done
-
-    ready = 0
-    for i in claims:
-        fn, out = jobs[i]
-        slots[i].set_result(fn(out, work))
-        while ready < len(jobs) and slots[ready].done():
-            yield result(ready)
-            ready += 1
-    for k in range(ready, len(jobs)):
-        yield result(k)
+        work = _thread_work(box)
+        return (fn(out, work) for fn, out in jobs)
+    return pool.map(lambda job: job[0](job[1], _thread_work(box)), jobs)
 
 
 def _advection_block(c, box):
@@ -338,21 +298,20 @@ def _advection_block(c, box):
     u is the velocity of c dealiased by the 2/3 rule; every mode off the
     block is zero in the dealiased transform, so it is never computed.  The
     d inverse and d(d+1)/2 forward block transforms run over the lanes, and
-    each product's transform is added in as soon as it and those before it
-    are done, in the order of the serial sum.
+    each product's transform is added in as it comes, in the order of the
+    serial sum, and then dropped.
     """
     block = retained_block(box)
     cb = c[(slice(None),) + block.index]
-    work = _thread_work(box)
     u = [np.empty(box.shape) for _ in range(box.d)]
     for _ in _lane_map([(partial(_block_inverse, cb[a]), u[a])
-                        for a in range(box.d)], box, work):
+                        for a in range(box.d)], box):
         pass
     pairs = [(a, b) for a in range(box.d) for b in range(a, box.d)]
     out = np.zeros_like(cb)
     for (a, b), t_hat in zip(pairs, _lane_map(
-            [(partial(_product_block, u[a], u[b]), np.empty_like(cb[0]))
-             for a, b in pairs], box, work)):
+            ((partial(_product_block, u[a], u[b]), np.empty_like(cb[0]))
+             for a, b in pairs), box)):
         out[a] = out[a] - 1j * block.xi[b] * t_hat
         if b != a:
             out[b] = out[b] - 1j * block.xi[a] * t_hat

@@ -190,9 +190,7 @@ def read_timeseries(path, columns=()):
     """Load a diagnostics CSV as a structured array keyed by column name.
 
     A file that is not UTF-8 text, has no rows, has a row of the wrong
-    length or lacks one of columns raises BadSeries.  With columns given the
-    file is taken for a series the writer made, which ends every row with a
-    newline, so a last row without one counts as cut.
+    length or lacks one of columns raises BadSeries.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -200,8 +198,6 @@ def read_timeseries(path, columns=()):
         raise BadSeries(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     if not text.strip():
         raise BadSeries(f"{path}: empty file")
-    if columns and not text.endswith("\n"):
-        raise BadSeries(f"{path}: the last row is cut")
     try:
         data = np.genfromtxt(text.splitlines(), delimiter=",", names=True)
     except ValueError as exc:

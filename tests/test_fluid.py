@@ -1,7 +1,5 @@
 import math
-import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -293,9 +291,9 @@ def test_cached_tables_are_read_only(table):
 
 
 # Transform lanes: on grids of at least fluid._LANE_MIN_POINTS points the
-# block transforms of one call run over one lane per usable CPU.  The
-# fixtures set the usable CPUs and start from no pool, so the tests run the
-# same on any machine.
+# block transforms of one call run on a pool of one thread per usable CPU,
+# at most fluid._MAX_LANES.  The fixtures set the usable CPUs and start from no
+# pool, so the tests run the same on any machine.
 
 BOX64 = BoxSpec(3, 2 * math.pi, 64)
 
@@ -312,19 +310,20 @@ def usable_cpus(monkeypatch):
         monkeypatch.setattr(fluid, "_lanes", None)
 
     yield use
-    if fluid._lanes and fluid._lanes[0] is not None:
-        fluid._lanes[0].shutdown()
+    if fluid._lanes:
+        fluid._lanes.shutdown()
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_lanes_match_full_grid_bits_at_64(usable_cpus, cpus):
-    usable_cpus(cpus)
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_lanes_match_full_grid_bits_at_64(usable_cpus, monkeypatch, lanes):
+    monkeypatch.setattr(fluid, "_MAX_LANES", lanes)
+    usable_cpus(lanes)
     box = BOX64
     c = fluid.forward_transform(random_field(box, 31, box.d), box)
     h_hat = fluid.forward_transform(random_field(box, 32, box.d), box)
     assert_same_bits(fluid.nonlinear_term(c, box), reference_nonlinear(c, box))
-    assert fluid._lanes[1] == cpus and fluid._lanes[0] is not None
-    if cpus == 3:
+    assert fluid._lanes._max_workers == lanes
+    if lanes == 3:
         return
     assert_same_bits(fluid.pressure_solve(c, box, h_hat),
                      reference_pressure(c, box, h_hat))
@@ -333,6 +332,19 @@ def test_lanes_match_full_grid_bits_at_64(usable_cpus, cpus):
     for _ in range(2):
         assert_same_bits(fluid.ns_step(c, box, 0.7, 1e-2, h_hat),
                          reference_ns_step(c, box, 0.7, 1e-2, h_hat))
+
+
+def test_lane_count_is_capped(usable_cpus):
+    # every pool thread keeps its own buffers, so more usable CPUs than
+    # the cap start no more threads than the cap
+    usable_cpus(32)
+    c = fluid.forward_transform(random_field(BOX64, 40, 3), BOX64)
+    before = threading.active_count()
+    for _ in range(2):
+        assert_same_bits(fluid.nonlinear_term(c, BOX64),
+                         reference_nonlinear(c, BOX64))
+    assert fluid._lanes._max_workers == fluid._MAX_LANES
+    assert 0 < threading.active_count() - before <= fluid._MAX_LANES
 
 
 def test_small_grid_starts_no_thread(usable_cpus):
@@ -353,7 +365,7 @@ def test_one_usable_cpu_starts_no_thread(usable_cpus):
     assert_same_bits(fluid.nonlinear_term(c, BOX64),
                      reference_nonlinear(c, BOX64))
     assert threading.active_count() == before
-    assert fluid._lanes == (None, 1)
+    assert fluid._lanes is False
 
 
 def test_concurrent_callers_get_serial_bits(usable_cpus, monkeypatch):
@@ -361,7 +373,7 @@ def test_concurrent_callers_get_serial_bits(usable_cpus, monkeypatch):
     # cannot write into each other's transforms
     fields = [fluid.forward_transform(random_field(BOX64, s, 3), BOX64)
               for s in (35, 36)]
-    monkeypatch.setattr(fluid, "_lanes", (None, 1))
+    monkeypatch.setattr(fluid, "_lanes", False)
     serial = [fluid.nonlinear_term(c, BOX64) for c in fields]
     usable_cpus(2)
     start = threading.Barrier(2)
@@ -387,30 +399,8 @@ def test_lane_buffers_follow_the_grid(usable_cpus, monkeypatch):
     big = BoxSpec(3, 2 * math.pi, 72)
     c64 = fluid.forward_transform(random_field(BOX64, 37, 3), BOX64)
     c72 = fluid.forward_transform(random_field(big, 38, 3), big)
-    monkeypatch.setattr(fluid, "_lanes", (None, 1))
+    monkeypatch.setattr(fluid, "_lanes", False)
     serial = [fluid.nonlinear_term(c64, BOX64), fluid.nonlinear_term(c72, big)]
     usable_cpus(2)
     assert_same_bits(fluid.nonlinear_term(c64, BOX64), serial[0])
     assert_same_bits(fluid.nonlinear_term(c72, big), serial[1])
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_starts_its_own_lanes(usable_cpus):
-    usable_cpus(2)
-    c = fluid.forward_transform(random_field(BOX64, 39, 3), BOX64)
-    want = fluid.nonlinear_term(c, BOX64).tobytes()
-    parent_pool = fluid._lanes[0]
-    pid = os.fork()
-    if pid == 0:
-        ok = fluid._lanes is None
-        ok = fluid.nonlinear_term(c, BOX64).tobytes() == want and ok
-        ok = fluid._lanes[0] is not parent_pool and ok
-        os._exit(0 if ok else 1)
-    deadline = time.monotonic() + 120
-    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
-        if time.monotonic() > deadline:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish")
-        time.sleep(0.05)
-    assert os.waitstatus_to_exitcode(done[1]) == 0
