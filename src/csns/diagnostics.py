@@ -270,10 +270,12 @@ class SeriesRecorder:
         self.tw_cum = 0.0
         self._tw_last = None
 
-    def record(self, state):
+    def record(self, state, energies=None):
+        """The row of state; energies is its energy(state) triple when the
+        caller has it already."""
         box = state.u.box
         u_phys = state.u.values()
-        e, e_fluid, e_kin = energy(state)
+        e, e_fluid, e_kin = energy(state) if energies is None else energies
         grad, drag, align = dissipation_terms(state, self.nu, u_phys=u_phys)
         if self.ledger is None:
             self.ledger = EnergyLedger.start(e, state.t, grad, drag, align)

@@ -211,7 +211,7 @@ def _advance(cfg, state, recorder, writer, stop_after_steps):
         good, state = state, coupled_step(state, cfg, dt)
         n_steps += 1
 
-        e_now, e_fluid, e_kin = diagnostics.energy(state)
+        energies = e_now, e_fluid, e_kin = diagnostics.energy(state)
         if not np.isfinite(e_now):
             writer.suspend()
             raise _unstable(state, good, dt, cfg.box, e_fluid, e_kin,
@@ -225,7 +225,7 @@ def _advance(cfg, state, recorder, writer, stop_after_steps):
             and state.step_index % out.series_every_steps == 0
         if cadence or final:
             ensure_moments(state, cfg.kernel, cfg.box)
-            writer.add_row(recorder.record(state))
+            writer.add_row(recorder.record(state, energies))
         if out.snapshot_every_steps > 0 \
                 and state.step_index % out.snapshot_every_steps == 0:
             path = outdir / f"snapshot_{state.step_index:08d}.csns"

@@ -124,6 +124,23 @@ def test_run_builds_one_stencil_per_set_of_positions(tmp_path, monkeypatch):
     assert len({c[0].tobytes() for c in calls}) == len(calls)
 
 
+def test_run_computes_the_energy_once_per_step(tmp_path, monkeypatch):
+    # a row step's series row takes the energy of the step's nonfinite
+    # check; the start computes it for the first row and the first rise
+    steps = 6
+    cfg = coupled_config(
+        tmp_path, t_end=steps * 1e-3,
+        output=OutputSpec(dir=str(tmp_path), series="series.csv",
+                          series_every_steps=2))
+    calls = counting(monkeypatch, diagnostics, "energy")
+    res = driver.run(cfg)
+    assert res.n_steps == steps
+    assert len(calls) == 2 + steps
+    data = io.read_timeseries(res.series_path)
+    assert data.size == 1 + steps // 2
+    assert float(data["E"][-1]) == diagnostics.energy(res.state)[0]
+
+
 def test_stage_deposits_rho_and_j_only(tmp_path, monkeypatch):
     cfg = coupled_config(tmp_path)
     state = driver.initial_state(cfg)

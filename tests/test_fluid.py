@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 
@@ -296,6 +297,7 @@ def test_cached_tables_are_read_only(table):
 # pool, so the tests run the same on any machine.
 
 BOX64 = BoxSpec(3, 2 * math.pi, 64)
+C64 = fluid.forward_transform(random_field(BOX64, 44, 3), BOX64)
 
 
 @pytest.fixture
@@ -370,7 +372,10 @@ def test_one_usable_cpu_starts_no_thread(usable_cpus):
 
 def test_concurrent_callers_get_serial_bits(usable_cpus, monkeypatch):
     # each pool thread owns its scratch, so two callers sharing the pool
-    # cannot write into each other's transforms
+    # cannot write into each other's transforms; and they cannot deadlock,
+    # though products wait for inverses and the finish for products: every
+    # job a waiting job needs was queued before it by the same caller, so
+    # a thread has already taken it
     fields = [fluid.forward_transform(random_field(BOX64, s, 3), BOX64)
               for s in (35, 36)]
     monkeypatch.setattr(fluid, "_lanes", False)
@@ -404,3 +409,102 @@ def test_lane_buffers_follow_the_grid(usable_cpus, monkeypatch):
     usable_cpus(2)
     assert_same_bits(fluid.nonlinear_term(c64, BOX64), serial[0])
     assert_same_bits(fluid.nonlinear_term(c72, big), serial[1])
+
+
+def old_if_heun(c0, dt, nu, grid, g0, g_of):
+    # the three-line formula the row jobs replaced
+    decay = fluid._viscous_decay(grid.box, nu, dt)
+    c_star = decay * (c0 + dt * g0)
+    g1, extra = g_of(c_star)
+    return decay * (c0 + 0.5 * dt * g0) + 0.5 * dt * g1, extra
+
+
+def random_spectrum(box, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shape = (box.d,) + box.spectral_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("box, lanes", [
+    (BOX64, 1), (BOX64, 2), (BOX64, 3), (BoxSpec(2, 2 * math.pi, 32), 2),
+], ids=["64-serial", "64-2lanes", "64-3lanes", "2d32"])
+def test_if_heun_rows_match_the_formula_bits(usable_cpus, monkeypatch, box,
+                                             lanes):
+    monkeypatch.setattr(fluid, "_MAX_LANES", max(lanes, 2))
+    usable_cpus(lanes)
+    c0, g0, g1 = (random_spectrum(box, s) for s in (41, 42, 43))
+    kept = c0.copy(), g0.copy()
+    grid = wavenumbers(box)
+    seen = []
+
+    def g_of(c_star):
+        seen.append(c_star.copy())
+        return g1 * 0.5 + c_star, len(seen)
+
+    got = fluid.if_heun(c0, 0.03, 0.7, grid, g0, g_of)
+    want = old_if_heun(c0, 0.03, 0.7, grid, g0, g_of)
+    assert got[1] == 1 and want[1] == 2
+    assert_same_bits(seen[0], seen[1])
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(c0, kept[0])
+    assert_same_bits(g0, kept[1])
+    assert bool(fluid._lanes) == (box is BOX64 and lanes > 1)
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def failing(monkeypatch, name, when):
+    """Make fluid.name raise Boom on the calls whose arguments pass when."""
+    original = getattr(fluid, name)
+    calls = itertools.count()
+
+    def job(*args):
+        if when(next(calls), *args):
+            raise Boom(name)
+        return original(*args)
+
+    monkeypatch.setattr(fluid, name, job)
+    return lambda: monkeypatch.setattr(fluid, name, original)
+
+
+def ended(fn, timeout=60.0):
+    """fn() on a thread joined with a timeout: its result or exception."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the call did not end"
+    return out
+
+
+@pytest.mark.parametrize("name, when", [
+    ("_block_inverse", lambda k, c, out, work: np.shares_memory(c, C64[1])),
+    ("_product_block", lambda k, *args: k == 2),
+    ("_finish_rows", lambda k, *args: args[3] == 0),
+    ("_heun_rows", lambda k, *args: args[4] is None and args[6] > 0),
+], ids=["inverse", "product", "finish", "heun"])
+def test_failed_lane_job_reaches_the_caller(usable_cpus, monkeypatch, name,
+                                            when):
+    usable_cpus(2)
+    h_hat = np.zeros_like(C64)
+    want = reference_ns_step(C64, BOX64, 0.7, 1e-2, h_hat)
+    restore = failing(monkeypatch, name, when)
+    out = ended(lambda: fluid.ns_step(C64, BOX64, 0.7, 1e-2, h_hat))
+    assert isinstance(out.get("error"), Boom), out
+    # no lane is left waiting: each takes one of these and meets the others
+    meet = threading.Barrier(fluid._MAX_LANES)
+    for future in [fluid._lanes.submit(meet.wait, 20)
+                   for _ in range(fluid._MAX_LANES)]:
+        future.result(timeout=30)
+    restore()
+    out = ended(lambda: fluid.ns_step(C64, BOX64, 0.7, 1e-2, h_hat))
+    assert_same_bits(out["result"], want)
