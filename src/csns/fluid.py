@@ -119,7 +119,8 @@ class RetainedBlock:
     The block is the same retained rows (0..N/3 and N-N/3..N-1) of each
     leading axis and the first cols columns (0..N/3) of the last; index
     picks it out of a (N, ..., N//2+1) array, and xi, inv_xi_sq are the
-    wavenumber tables restricted to it.  runs pairs the block slice and the
+    wavenumber tables restricted to it, i_xi the products 1j * xi.  runs
+    pairs the block slice and the
     spectrum slice of each run of consecutive rows, and inner the block and
     spectrum index tuples of the axes between the first and the last (one
     empty pair in 2D), so the block is read and written by basic slices.
@@ -129,6 +130,7 @@ class RetainedBlock:
     cols: int
     index: tuple
     xi: tuple
+    i_xi: tuple
     inv_xi_sq: np.ndarray
     runs: tuple
     inner: tuple
@@ -149,9 +151,10 @@ def retained_block(box):
                  for lo, hi in zip(ends, ends[1:]))
     inner = (((), ()),) if box.d == 2 else tuple(
         ((b,), (s,)) for b, s in runs)
-    block = RetainedBlock(rows, len(per_axis[-1]), index, xi,
+    i_xi = tuple(1j * x for x in xi)
+    block = RetainedBlock(rows, len(per_axis[-1]), index, xi, i_xi,
                           grid.inv_xi_sq[index], runs, inner)
-    for arr in (rows, *index, *xi, block.inv_xi_sq):
+    for arr in (rows, *index, *xi, *i_xi, block.inv_xi_sq):
         arr.setflags(write=False)
     return block
 
@@ -180,8 +183,10 @@ class _Work:
     chunk and its transform, cut to the block's rows.  The per-mode passes
     take as many rows of all d components as fit the same two buffers (one
     row at least): finish_rows block rows for the finish of the right-hand
-    side, heun_rows spectrum rows for the Heun stages, all of them when the
-    d components hold at most _CHUNK_POINTS values.  Written for d = 2 and
+    side (acc, with div and tmp for the projection), heun_rows spectrum
+    rows for the Heun stages (heun).  A spectrum of at
+    most 2^13 values (128 kB) is one Heun chunk, because on those grids a
+    second chunk costs more than the larger buffers.  Written for d = 2 and
     3, the dimensions validate_config allows.
     """
 
@@ -197,7 +202,7 @@ class _Work:
         block_row = block.inv_xi_sq[0].size
         self.finish_rows = max(1, min(len(block.rows),
                                       size // (d * block_row)))
-        whole = d * math.prod(box.spectral_shape) <= _CHUNK_POINTS
+        whole = d * math.prod(box.spectral_shape) <= _CHUNK_POINTS // 4
         self.heun_rows = N if whole else max(1, step // d)
         size = max(size, d * self.finish_rows * block_row,
                    d * self.heun_rows * size // step)
@@ -207,6 +212,12 @@ class _Work:
                               (step,) + box.shape[1:])
         mid = (step,) + (N,) * (d - 2) + (block.cols,)
         self.pad, self.mid = (_chunk(f, mid) for f in self.flat)
+        rest = block.inv_xi_sq.shape[1:]
+        self.acc = _chunk(self.flat[0], (d, self.finish_rows) + rest)
+        self.div, self.tmp = (_chunk(f, (self.finish_rows,) + rest) for f in (
+            self.flat[1], self.flat[1][self.finish_rows * block_row:]))
+        self.heun = tuple(_chunk(f, (d, self.heun_rows) + half[1:])
+                          for f in self.flat)
         self.width = max(1, self.half.size // math.prod(lines[:-1]))
 
 
@@ -273,9 +284,10 @@ def _product_block(ua, ub, out, work):
     return out
 
 
+@lru_cache(maxsize=None)
 def _pairs(d):
     """The component pairs (a, b), a <= b, in the order of the serial sum."""
-    return [(a, b) for a in range(d) for b in range(a, d)]
+    return tuple((a, b) for a in range(d) for b in range(a, d))
 
 
 def _finish_rows(t_hat, g, project, lo, hi, work):
@@ -292,16 +304,15 @@ def _finish_rows(t_hat, g, project, lo, hi, work):
     for r0 in range(lo, hi, work.finish_rows):
         rows = slice(r0, min(r0 + work.finish_rows, hi))
         k = rows.stop - r0
-        shape = (k,) + t_hat.shape[2:]
-        acc = _chunk(work.flat[0], (d,) + shape)
-        div = _chunk(work.flat[1], shape)
-        tmp = _chunk(work.flat[1][div.size:], shape)
-        xi = [x[rows] if len(x) > 1 else x for x in block.xi]
+        acc, div, tmp = work.acc[:, :k], work.div[:k], work.tmp[:k]
+        # the axis-0 tables are the only ones with more than one row
+        xi = (block.xi[0][rows],) + block.xi[1:]
+        i_xi = (block.i_xi[0][rows],) + block.i_xi[1:]
         acc.fill(0)
         for p, (a, b) in enumerate(_pairs(d)):
-            acc[a] -= np.multiply(1j * xi[b], t_hat[p, rows], out=tmp)
+            acc[a] -= np.multiply(i_xi[b], t_hat[p, rows], out=tmp)
             if b != a:
-                acc[b] -= np.multiply(1j * xi[a], t_hat[p, rows], out=tmp)
+                acc[b] -= np.multiply(i_xi[a], t_hat[p, rows], out=tmp)
         if project:
             _project_into(acc, xi, block.inv_xi_sq[rows], acc, div, tmp)
         for b0, full in block.runs:
@@ -380,9 +391,9 @@ def _run_lanes(jobs, pool, box):
     begun are skipped.  So a failure never leaves a job waiting, and the
     caller, which waits for every job, raises the first exception in job
     order.  A job waits only for jobs listed before it, and the pool takes
-    jobs in the order they were queued, so each job it waits for is already
-    held by a thread that does not wait for it: callers sharing the pool
-    cannot deadlock.
+    jobs in the order they were queued, so every job a waiting job needs
+    was taken by a thread before it, and the earliest unfinished job waits
+    for nothing: callers sharing the pool cannot deadlock.
     """
     if pool is None:
         work = _thread_work(box)
@@ -420,15 +431,22 @@ def _run_lanes(jobs, pool, box):
 
 def _rhs_scratch(box):
     """The velocity samples u and the block transforms of the products of
-    one right-hand side, owned by the calling thread and kept for its next
-    call on the same grid.  Made afresh on each call, these 10 MB at 64^3
-    were handed back to the system and faulted in again, about 2700 page
-    faults and 10 ms of system time per fluid3d step."""
+    one right-hand side.
+
+    On grids of at least _LANE_MIN_POINTS points the calling thread owns
+    them and keeps them for its next call on the same grid: made afresh on
+    each call, these 10 MB at 64^3 were handed back to the system and
+    faulted in again, about 2700 page faults and 10 ms of system time per
+    fluid3d step.  Below the gate they are made for each call, which kept
+    0.3 MB less resident on a 128^2 coupled run.
+    """
     scratch = getattr(_owned, "rhs", None)
     if scratch is None or scratch[0] != box:
-        block = retained_block(box)
-        scratch = _owned.rhs = (box, np.empty((box.d,) + box.shape), np.empty(
-            (len(_pairs(box.d)),) + block.inv_xi_sq.shape, dtype=complex))
+        pairs = len(_pairs(box.d))
+        scratch = (box, np.empty((box.d,) + box.shape), np.empty(
+            (pairs,) + retained_block(box).inv_xi_sq.shape, dtype=complex))
+        if box.N ** box.d >= _LANE_MIN_POINTS:
+            _owned.rhs = scratch
     return scratch[1:]
 
 
@@ -481,8 +499,8 @@ def _heun_rows(c0, g0, h, decay, g1, out, lo, hi, work):
     None, into out: the operations of the Heun formulas, on chunks of rows."""
     for r0 in range(lo, hi, work.heun_rows):
         rows = slice(r0, min(r0 + work.heun_rows, hi))
-        shape = (len(c0), rows.stop - r0) + c0.shape[2:]
-        t, s = (_chunk(f, shape) for f in work.flat)
+        k = rows.stop - r0
+        t, s = work.heun[0][:, :k], work.heun[1][:, :k]
         np.add(c0[:, rows], np.multiply(h, g0[:, rows], out=t), out=t)
         if g1 is None:
             np.multiply(decay[rows], t, out=out[:, rows])

@@ -486,19 +486,31 @@ def ended(fn, timeout=60.0):
     return out
 
 
-@pytest.mark.parametrize("name, when", [
-    ("_block_inverse", lambda k, c, out, work: np.shares_memory(c, C64[1])),
-    ("_product_block", lambda k, *args: k == 2),
-    ("_finish_rows", lambda k, *args: args[3] == 0),
-    ("_heun_rows", lambda k, *args: args[4] is None and args[6] > 0),
+def nonlinear_call():
+    return (lambda: fluid.nonlinear_term(C64, BOX64),
+            reference_nonlinear(C64, BOX64))
+
+
+def ns_step_call():
+    h_hat = np.zeros_like(C64)
+    return (lambda: fluid.ns_step(C64, BOX64, 0.7, 1e-2, h_hat),
+            reference_ns_step(C64, BOX64, 0.7, 1e-2, h_hat))
+
+
+@pytest.mark.parametrize("name, when, call", [
+    ("_block_inverse", lambda k, c, out, work: np.shares_memory(c, C64[1]),
+     nonlinear_call),
+    ("_product_block", lambda k, *args: k == 2, nonlinear_call),
+    ("_finish_rows", lambda k, *args: args[3] == 0, nonlinear_call),
+    ("_heun_rows", lambda k, *args: args[4] is None and args[6] > 0,
+     ns_step_call),
 ], ids=["inverse", "product", "finish", "heun"])
 def test_failed_lane_job_reaches_the_caller(usable_cpus, monkeypatch, name,
-                                            when):
+                                            when, call):
     usable_cpus(2)
-    h_hat = np.zeros_like(C64)
-    want = reference_ns_step(C64, BOX64, 0.7, 1e-2, h_hat)
+    fn, want = call()
     restore = failing(monkeypatch, name, when)
-    out = ended(lambda: fluid.ns_step(C64, BOX64, 0.7, 1e-2, h_hat))
+    out = ended(fn)
     assert isinstance(out.get("error"), Boom), out
     # no lane is left waiting: each takes one of these and meets the others
     meet = threading.Barrier(fluid._MAX_LANES)
@@ -506,5 +518,4 @@ def test_failed_lane_job_reaches_the_caller(usable_cpus, monkeypatch, name,
                    for _ in range(fluid._MAX_LANES)]:
         future.result(timeout=30)
     restore()
-    out = ended(lambda: fluid.ns_step(C64, BOX64, 0.7, 1e-2, h_hat))
-    assert_same_bits(out["result"], want)
+    assert_same_bits(ended(fn)["result"], want)
