@@ -332,8 +332,9 @@ def _finish_rows(t_hat, g, project, lo, hi, work):
 # usable CPU, at most _MAX_LANES, while the caller waits for them.  A job
 # that needs the output of others waits only for those (a product for its
 # two velocity components, the finish for every product).  Each thread owns
-# its work buffers and every output is allocated by the caller, so no large
-# array is allocated or freed on a pool thread.  Each transform runs whole
+# its work buffers, and every output and the scratch of the right-hand side
+# belong to the caller, so no large array is allocated or freed on a pool
+# thread.  Each transform runs whole
 # on one thread, and the per-mode passes are the same elementwise
 # operations on rows, so the bytes do not depend on the lane count.
 _LANE_MIN_POINTS = 2**17
@@ -442,9 +443,9 @@ def _rhs_scratch(box):
     """
     scratch = getattr(_owned, "rhs", None)
     if scratch is None or scratch[0] != box:
-        pairs = len(_pairs(box.d))
-        scratch = (box, np.empty((box.d,) + box.shape), np.empty(
-            (pairs,) + retained_block(box).inv_xi_sq.shape, dtype=complex))
+        products = (len(_pairs(box.d)),) + retained_block(box).inv_xi_sq.shape
+        scratch = (box, np.empty((box.d,) + box.shape),
+                   np.empty(products, dtype=complex))
         if box.N ** box.d >= _LANE_MIN_POINTS:
             _owned.rhs = scratch
     return scratch[1:]
