@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from csns import driver, io
+from csns import driver, io, presets
 
 TWO_PI = 2.0 * math.pi
 SEED = 7
@@ -29,22 +29,12 @@ SEED = 7
 
 def coupled2d(outdir):
     """The 2D demo preset, 50 steps."""
-    return {
-        "box": {"d": 2, "L": TWO_PI, "N": 128},
-        "dt": 1e-3, "t_end": 0.05, "viscosity": 1.0,
-        "kernel": {"kind": "inverse_power", "beta": 2.0},
-        "particle_count": 10000, "r0": 1.0,
-        "init_profile": {"fluid": "broadband",
-                         "fluid_params": {"u_rms": 0.5, "xi_cut": 2.5},
-                         "particles": "gaussian", "particle_params": {}},
-        "seed": SEED,
-        "output": {"dir": str(outdir), "series_every_steps": 25},
-    }
+    return presets.coupled(outdir, t_end=0.05, seed=SEED)
 
 
 def small_io(outdir):
     """32^2 grid, a row every step, snapshots and checkpoints; resumed."""
-    return {
+    return io.config_from_data({
         "box": {"d": 2, "L": TWO_PI, "N": 32},
         "dt": 1e-3, "t_end": 0.2, "viscosity": 1.0,
         "kernel": {"kind": "inverse_power", "beta": 2.0},
@@ -55,53 +45,25 @@ def small_io(outdir):
         "output": {"dir": str(outdir), "series_every_steps": 1,
                    "snapshot_every_steps": 10,
                    "checkpoint_every_steps": 50},
-    }
+    })
 
 
 def determinism(outdir):
     """The configuration of acceptance criterion 11."""
-    return {
-        "box": {"d": 2, "L": TWO_PI, "N": 64},
-        "dt": 1e-3, "t_end": 0.2, "viscosity": 1.0,
-        "kernel": {"kind": "inverse_power", "beta": 2.0},
-        "particle_count": 1000, "r0": 1.0,
-        "init_profile": {"fluid": "broadband",
-                         "fluid_params": {"u_rms": 0.5, "xi_cut": 2.5},
-                         "particles": "gaussian", "particle_params": {}},
-        "seed": 77,
-        "output": {"dir": str(outdir), "series_every_steps": 50,
-                   "snapshot_every_steps": 100},
-    }
+    return presets.coupled(outdir, N=64, particle_count=1000, t_end=0.2,
+                           series_every=50, snapshot_every=100, seed=77)
 
 
 def coupled3d(outdir):
     """3D 16^3 coupled run, 2000 particles, 50 steps."""
-    return {
-        "box": {"d": 3, "L": TWO_PI, "N": 16},
-        "dt": 1e-3, "t_end": 0.05, "viscosity": 1.0,
-        "kernel": {"kind": "inverse_power", "beta": 2.0},
-        "particle_count": 2000, "r0": 1.0,
-        "init_profile": {"fluid": "broadband",
-                         "fluid_params": {"u_rms": 0.5, "xi_cut": 2.5},
-                         "particles": "gaussian", "particle_params": {}},
-        "seed": SEED,
-        "output": {"dir": str(outdir), "series_every_steps": 5,
-                   "snapshot_every_steps": 10,
-                   "checkpoint_every_steps": 25},
-    }
+    return presets.coupled(outdir, d=3, N=16, particle_count=2000,
+                           t_end=0.05, series_every=5, snapshot_every=10,
+                           checkpoint_every=25, seed=SEED)
 
 
 def fluid3d(outdir):
     """64^3 decay without particles, 20 steps."""
-    return {
-        "box": {"d": 3, "L": 100.0, "N": 64},
-        "dt": 0.1, "t_end": 2.0, "viscosity": 1.0,
-        "particle_count": 0,
-        "init_profile": {"fluid": "broadband",
-                         "fluid_params": {"u_rms": 5e-3, "xi_cut": 0.45}},
-        "seed": SEED,
-        "output": {"dir": str(outdir), "series_every_steps": 10},
-    }
+    return presets.decay3d(outdir, t_end=2.0, seed=SEED)
 
 
 CONFIGS = {"coupled2d": coupled2d, "small_io": small_io,
@@ -130,8 +92,7 @@ def checkpoint_digests(path):
 def run_digests(name, outdir):
     """(label, sha256) of every output of one configured run."""
     shutil.rmtree(outdir, ignore_errors=True)
-    cfg = io.config_from_data(CONFIGS[name](outdir))
-    res = driver.run(cfg)
+    res = driver.run(CONFIGS[name](outdir))
     if name in RESUMED:
         res = driver.resume_run(
             res.checkpoint_paths[len(res.checkpoint_paths) // 2 - 1])

@@ -10,28 +10,7 @@ import argparse
 
 import numpy as np
 
-from csns import domain, driver, io
-
-LEVELS = (
-    ("coarse", 32, 32, 5e-3),
-    ("fine", 64, 128, 2.5e-3),
-)
-VISCOSITY = 0.3
-T_END = 5.0
-
-
-def level_config(outdir, grid_n, lattice_m, dt):
-    return domain.validate_config(domain.SimConfig(
-        box=domain.BoxSpec(2, 2.0 * np.pi, grid_n), dt=dt, t_end=T_END,
-        kernel=domain.KernelSpec("inverse_power", beta=2.0),
-        viscosity=VISCOSITY, particle_count=4 * lattice_m * lattice_m,
-        r0=1.0,
-        init_profile=domain.InitSpec(
-            fluid="taylor_green", fluid_params={"amplitude": 1.0},
-            particles="lattice",
-            particle_params={"m": lattice_m, "density_amp": 0.3}),
-        seed=0,
-        output=domain.OutputSpec(dir=outdir, series_every_steps=100)))
+from csns import driver, io, presets
 
 
 def main():
@@ -40,18 +19,19 @@ def main():
     args = parser.parse_args()
 
     drifts = {}
-    for tag, grid_n, lattice_m, dt in LEVELS:
-        cfg = level_config(f"{args.output_dir}/{tag}", grid_n, lattice_m, dt)
+    for tag in presets.REFINEMENT_LEVELS:
+        cfg = presets.refinement(f"{args.output_dir}/{tag}", tag)
         res = driver.run(cfg)
         data = io.read_timeseries(res.series_path)
         drifts[tag] = {col: float(np.max(np.abs(data[col] - data[col][0])))
                        for col in ("rho_l1", "rho_l2", "rho_linf")}
-        print(f"{tag}: N = {grid_n}, lattice {lattice_m}^2, dt = {dt:g}, "
+        m = cfg.init_profile.particle_params["m"]
+        print(f"{tag}: N = {cfg.box.N}, lattice {m}^2, dt = {cfg.dt:g}, "
               f"{res.n_steps} steps")
         for col, drift in drifts[tag].items():
             print(f"  {col} drift: {drift:.4e}")
 
-    coarse, fine = (drifts[tag] for tag, *_ in LEVELS)
+    coarse, fine = drifts["coarse"], drifts["fine"]
     for col in ("rho_l2", "rho_linf"):
         ratio = coarse[col] / fine[col] if fine[col] else float("inf")
         print(f"{col} drift ratio coarse/fine: {ratio:.2f}")

@@ -7,14 +7,7 @@ budget is printed.
 
 import argparse
 
-import numpy as np
-
-from csns import diagnostics, domain, driver, io
-
-GRID_N = 128
-N_PARTICLES = 10000
-DT = 1e-3
-T_END = 5.0
+from csns import diagnostics, driver, io, presets
 
 
 def main():
@@ -23,16 +16,7 @@ def main():
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    cfg = domain.validate_config(domain.SimConfig(
-        box=domain.BoxSpec(2, 2.0 * np.pi, GRID_N), dt=DT, t_end=T_END,
-        kernel=domain.KernelSpec("inverse_power", beta=2.0),
-        viscosity=1.0, particle_count=N_PARTICLES, r0=1.0,
-        init_profile=domain.InitSpec(
-            fluid="broadband", fluid_params={"u_rms": 0.5, "xi_cut": 2.5},
-            particles="gaussian", particle_params={}),
-        seed=args.seed,
-        output=domain.OutputSpec(dir=args.output_dir,
-                                 series_every_steps=25)))
+    cfg = presets.coupled(args.output_dir, seed=args.seed)
     res = driver.run(cfg)
     print(f"run finished: t = {res.state.t:g} after {res.n_steps} steps")
     print(f"series: {res.series_path}")

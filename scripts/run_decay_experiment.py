@@ -9,15 +9,8 @@ import argparse
 
 import numpy as np
 
-from csns import diagnostics, domain, driver, io
+from csns import diagnostics, driver, io, presets
 
-BOX_LENGTH = 100.0
-GRID_N = 64
-VISCOSITY = 1.0
-U_RMS = 5e-3
-XI_CUT = 0.45
-DT = 0.1
-T_END = 50.0
 FIT_WINDOW = (5.0, 50.0)
 
 
@@ -27,26 +20,18 @@ def main():
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args()
 
-    cfg = domain.validate_config(domain.SimConfig(
-        box=domain.BoxSpec(3, BOX_LENGTH, GRID_N), dt=DT, t_end=T_END,
-        viscosity=VISCOSITY, particle_count=0,
-        init_profile=domain.InitSpec(
-            fluid="broadband",
-            fluid_params={"u_rms": U_RMS, "xi_cut": XI_CUT}),
-        seed=args.seed,
-        output=domain.OutputSpec(dir=args.output_dir,
-                                 series_every_steps=10)))
+    cfg = presets.decay3d(args.output_dir, seed=args.seed)
     res = driver.run(cfg)
     print(f"run finished: t = {res.state.t:g} after {res.n_steps} steps")
     print(f"series: {res.series_path}")
 
     data = io.read_timeseries(res.series_path)
     fit = diagnostics.fit_decay_exponent(data["t"], data["E"], *FIT_WINDOW,
-                                         box_length=BOX_LENGTH,
-                                         nu=VISCOSITY)
+                                         box_length=cfg.box.L,
+                                         nu=cfg.viscosity)
     speed_fit = diagnostics.fit_decay_exponent(
         data["t"], np.sqrt(2.0 * data["E"]), *FIT_WINDOW,
-        box_length=BOX_LENGTH, nu=VISCOSITY)
+        box_length=cfg.box.L, nu=cfg.viscosity)
     print(f"window t in [{FIT_WINDOW[0]:g}, {FIT_WINDOW[1]:g}], "
           f"{fit.n_samples} samples")
     print(f"energy slope vs (1+t): {fit.slope:.4f}  "

@@ -7,6 +7,7 @@ Units are nondimensional; the viscous coefficient defaults to 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -141,6 +142,23 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """A finite real number; a bool or a numeric string is no quantity."""
+    try:
+        return (isinstance(value, numbers.Real)
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def _is_vector(value, d):
+    """A sequence of d finite real numbers."""
+    try:
+        return len(value) == d and all(_is_real(v) for v in value)
+    except TypeError:
+        return False
+
+
 def _is_pow_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -160,19 +178,19 @@ def validate_config(cfg):
     errors = []
     box = cfg.box
 
-    if box.d not in (2, 3):
+    if not (_is_int(box.d) and box.d in (2, 3)):
         errors.append(("box.d", "dimension must be 2 or 3"))
     if not (_is_int(box.N) and _is_pow_two(box.N) and box.N >= 8):
         errors.append(("box.N", "N must be even power of two (>= 8)"))
-    if not (np.isfinite(box.L) and box.L > 0):
-        errors.append(("box.L", "box side must be positive"))
+    if not (_is_real(box.L) and box.L > 0):
+        errors.append(("box.L", "box side must be a positive number"))
 
     k = cfg.kernel
     if k.kind not in KERNEL_KINDS:
         errors.append(("kernel.kind", f"unknown kind {k.kind!r}"))
     else:
-        if not (np.isfinite(k.beta) and k.beta >= 0):
-            errors.append(("kernel.beta", "exponent must be >= 0"))
+        if not (_is_real(k.beta) and k.beta >= 0):
+            errors.append(("kernel.beta", "exponent must be a number >= 0"))
         elif k.cap != 1.0:
             errors.append(("kernel.cap", "unit cap is fixed at 1 in this version"))
         else:
@@ -182,18 +200,23 @@ def validate_config(cfg):
                     ("kernel.beta",
                      f"kernel slope exceeds the unit cap (max |phi'| = {smax:.4f})"))
 
-    if not (np.isfinite(cfg.viscosity) and cfg.viscosity > 0):
-        errors.append(("viscosity", "must be positive"))
-    if not (np.isfinite(cfg.dt) and cfg.dt > 0):
-        errors.append(("dt", "must be positive"))
-    if not (np.isfinite(cfg.t_end) and cfg.t_end >= 0):
-        errors.append(("t_end", "must be >= 0"))
-    if not (0 < cfg.cfl <= 1):
-        errors.append(("cfl", "Courant factor must lie in (0, 1]"))
+    if not (_is_real(cfg.viscosity) and cfg.viscosity > 0):
+        errors.append(("viscosity", "must be a positive number"))
+    if not (_is_real(cfg.dt) and cfg.dt > 0):
+        errors.append(("dt", "must be a positive number"))
+    if not (_is_real(cfg.t_end) and cfg.t_end >= 0):
+        errors.append(("t_end", "must be a number >= 0"))
+    if not (_is_real(cfg.cfl) and 0 < cfg.cfl <= 1):
+        errors.append(("cfl", "Courant factor must be a number in (0, 1]"))
+    for name in ("adaptive", "coupling_enabled"):
+        if not isinstance(getattr(cfg, name), bool):
+            errors.append((name, "must be true or false"))
     if not (_is_int(cfg.particle_count) and cfg.particle_count >= 0):
         errors.append(("particle_count", "must be an integer >= 0"))
-    if not (np.isfinite(cfg.r0) and cfg.r0 > 0):
-        errors.append(("r0", "initial v-support radius must be positive"))
+    r0_ok = _is_real(cfg.r0) and cfg.r0 > 0
+    if not r0_ok:
+        errors.append(("r0", "initial v-support radius must be a positive "
+                             "number"))
     if not (_is_int(cfg.seed) and 0 <= cfg.seed < 2**64):
         errors.append(("seed", "must be a 64-bit unsigned integer"))
 
@@ -203,25 +226,27 @@ def validate_config(cfg):
     else:
         _check_profile_params(errors, "init_profile.fluid_params",
                               init.fluid_params, FLUID_PARAM_KEYS[init.fluid])
+        fp = init.fluid_params if isinstance(init.fluid_params, dict) else {}
         if init.fluid == "taylor_green":
-            if box.d != 2 or abs(box.L - TWO_PI) > 1e-12:
+            if (box.d != 2 or not _is_real(box.L)
+                    or abs(box.L - TWO_PI) > 1e-12):
                 errors.append(("init_profile.fluid",
                                "taylor_green requires d=2 and L=2*pi"))
         if init.fluid == "uniform":
-            vel = init.fluid_params.get("velocity")
-            if vel is None or len(vel) != box.d:
+            if not _is_vector(fp.get("velocity"), box.d):
                 errors.append(("init_profile.fluid_params.velocity",
-                               f"must be a vector of length {box.d}"))
+                               f"must be a vector of {box.d} numbers"))
         if init.fluid == "broadband":
             for key in ("xi_cut", "u_rms"):
-                val = init.fluid_params.get(key)
-                if not (isinstance(val, (int, float)) and val > 0):
+                val = fp.get(key)
+                if not (_is_real(val) and val > 0):
                     errors.append((f"init_profile.fluid_params.{key}",
-                                   "broadband needs a positive value"))
+                                   "broadband needs a positive number"))
 
     if init.particles not in PARTICLE_PROFILES:
         errors.append(("init_profile.particles", f"unknown profile {init.particles!r}"))
-    elif cfg.particle_count > 0:
+    elif (isinstance(cfg.particle_count, numbers.Real)
+          and cfg.particle_count > 0):
         pp = init.particle_params
         _check_profile_params(errors, "init_profile.particle_params",
                               pp, PARTICLE_PARAM_KEYS[init.particles])
@@ -230,19 +255,20 @@ def validate_config(cfg):
             if not (_is_int(m) and m >= 1):
                 errors.append(("init_profile.particle_params.m",
                                "lattice needs an integer per-axis count m >= 1"))
-            elif cfg.particle_count != 2 * box.d * m**box.d:
+            elif box.d in (2, 3) and cfg.particle_count != 2 * box.d * m**box.d:
                 errors.append(("particle_count",
                                f"lattice with m={m} needs {2 * box.d * m**box.d} particles"))
-            v0 = pp.get("v0", cfg.r0 / 2)
-            if not (0 <= v0 <= cfg.r0):
+            v0 = pp.get("v0", 0.0)
+            if r0_ok and not (_is_real(v0) and 0 <= v0 <= cfg.r0):
                 errors.append(("init_profile.particle_params.v0",
                                "stencil speed must lie in [0, r0]"))
         if init.particles == "flocked" and isinstance(pp, dict):
             vel = pp.get("velocity")
-            if vel is None or len(vel) != box.d:
+            if not _is_vector(vel, box.d):
                 errors.append(("init_profile.particle_params.velocity",
-                               f"must be a vector of length {box.d}"))
-            elif math.sqrt(sum(float(v) ** 2 for v in vel)) > cfg.r0 + 1e-12:
+                               f"must be a vector of {box.d} numbers"))
+            elif (r0_ok and math.sqrt(sum(float(v) ** 2 for v in vel))
+                  > cfg.r0 + 1e-12):
                 errors.append(("init_profile.particle_params.velocity",
                                "flocked speed exceeds r0"))
 

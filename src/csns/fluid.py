@@ -48,11 +48,16 @@ class VelocityField:
         return inverse_transform(self.c, self.box)
 
 
+def _parseval_sum(c, table, scale):
+    """scale * sum(table * |c|^2) over the half spectrum; table carries the
+    Parseval multiplicities times any per-mode factor, scale the volume
+    times any constant (kept as one factor, which fixes the bits)."""
+    return float(scale * np.sum(table * (c.real**2 + c.imag**2)))
+
+
 def spectral_l2sq(c, box):
     """Squared L2 norm over the box via Parseval on the half spectrum."""
-    grid = wavenumbers(box)
-    return float(box.volume * np.sum(grid.parseval_weight
-                                     * (c.real**2 + c.imag**2)))
+    return _parseval_sum(c, wavenumbers(box).parseval_weight, box.volume)
 
 
 def kinetic_energy(c, box):
@@ -63,16 +68,15 @@ def kinetic_energy(c, box):
 def dissipation_rate(c, box, nu=1.0):
     """Viscous rate nu * ||grad u||^2."""
     grid = wavenumbers(box)
-    return float(nu * box.volume * np.sum(grid.parseval_weight * grid.xi_sq
-                                          * (c.real**2 + c.imag**2)))
+    return _parseval_sum(c, grid.parseval_weight * grid.xi_sq,
+                         nu * box.volume)
 
 
 def low_freq_energy(c, box, r):
     """||u||^2 restricted to the closed ball of modes with |xi| <= r."""
     grid = wavenumbers(box)
-    shell = grid.xi_sq <= r * r
-    return float(box.volume * np.sum(grid.parseval_weight * shell
-                                     * (c.real**2 + c.imag**2)))
+    return _parseval_sum(c, grid.parseval_weight * (grid.xi_sq <= r * r),
+                         box.volume)
 
 
 def _xi_dot(c, xi, div=None, tmp=None):

@@ -1,8 +1,10 @@
 """End-to-end acceptance runs for the coupled solver.
 
 Each test checks one numbered requirement at its stated tolerance; the long
-runs are session fixtures shared between criteria.  Expected runtime for the
-whole file is eight to ten minutes on one core.
+runs are session fixtures shared between criteria; their configurations
+come from csns.presets.  The whole file took 319 s on a 2-CPU host (numpy
+2.4), most of it in the set-up of criteria 05, 01 and 02 and the call of
+criterion 04.
 """
 
 import math
@@ -11,29 +13,14 @@ import numpy as np
 import pytest
 
 from csns import diagnostics, domain, driver, fluid, initial, io, oracle, \
-    particles
-
-
-def coupled_config(outdir, grid_n, n_particles, dt, t_end, every, seed,
-                   snapshot_every=0):
-    return domain.validate_config(domain.SimConfig(
-        box=domain.BoxSpec(2, 2.0 * np.pi, grid_n),
-        dt=dt, t_end=t_end,
-        kernel=domain.KernelSpec("inverse_power", beta=2.0),
-        viscosity=1.0, particle_count=n_particles, r0=1.0,
-        init_profile=domain.InitSpec(
-            fluid="broadband", fluid_params={"u_rms": 0.5, "xi_cut": 2.5},
-            particles="gaussian", particle_params={}),
-        seed=seed,
-        output=domain.OutputSpec(dir=str(outdir), series_every_steps=every,
-                                 snapshot_every_steps=snapshot_every)))
+    particles, presets
 
 
 @pytest.fixture(scope="session")
 def run_coupled(tmp_path_factory):
     """Coupled 2D reference run: 128^2 grid, 10k particles, t = 5."""
     out = tmp_path_factory.mktemp("acc_coupled")
-    cfg = coupled_config(out, 128, 10000, 1e-3, 5.0, 25, seed=42)
+    cfg = presets.coupled(out)
     return cfg, driver.run(cfg)
 
 
@@ -41,7 +28,7 @@ def run_coupled(tmp_path_factory):
 def run_coupled_fine(tmp_path_factory):
     """Same run with dt halved; the output cadence in steps is unchanged."""
     out = tmp_path_factory.mktemp("acc_coupled_fine")
-    cfg = coupled_config(out, 128, 10000, 5e-4, 5.0, 25, seed=42)
+    cfg = presets.coupled(out, dt=5e-4)
     return cfg, driver.run(cfg)
 
 
@@ -63,13 +50,7 @@ def run_heat_limit(tmp_path_factory):
 def run_decay_3d(tmp_path_factory):
     """3D box large enough to hold an algebraic-decay window to t = 50."""
     out = tmp_path_factory.mktemp("acc_decay3d")
-    cfg = domain.validate_config(domain.SimConfig(
-        box=domain.BoxSpec(3, 100.0, 64), dt=0.1, t_end=50.0,
-        viscosity=1.0, particle_count=0,
-        init_profile=domain.InitSpec(
-            fluid="broadband", fluid_params={"u_rms": 5e-3, "xi_cut": 0.45}),
-        seed=5,
-        output=domain.OutputSpec(dir=str(out), series_every_steps=10)))
+    cfg = presets.decay3d(out)
     return cfg, driver.run(cfg)
 
 
@@ -77,33 +58,18 @@ def run_decay_3d(tmp_path_factory):
 def run_alignment(tmp_path_factory):
     """Coupled run to t = 10, long enough for the velocity gap to collapse."""
     out = tmp_path_factory.mktemp("acc_align")
-    cfg = coupled_config(out, 64, 2000, 1e-3, 10.0, 50, seed=3)
+    cfg = presets.coupled(out, N=64, particle_count=2000, t_end=10.0,
+                          series_every=50, seed=3)
     return cfg, driver.run(cfg)
 
 
 @pytest.fixture(scope="session")
 def refinement_pair(tmp_path_factory):
-    """Lattice ensemble advected by a decaying vortex at two resolutions.
-
-    Positions follow the fluid map, so the continuum density norms are
-    constant; the recorded drift is pure discretization error.  The lattice
-    spacing refines faster than the grid because the deposit quadrature
-    error scales with (spacing / cell)^2.
-    """
+    """The refinement study's two levels (see presets.refinement)."""
     runs = {}
-    for tag, grid_n, m, dt in (("coarse", 32, 32, 5e-3),
-                               ("fine", 64, 128, 2.5e-3)):
-        out = tmp_path_factory.mktemp(f"acc_rho_{tag}")
-        cfg = domain.validate_config(domain.SimConfig(
-            box=domain.BoxSpec(2, 2.0 * np.pi, grid_n), dt=dt, t_end=5.0,
-            kernel=domain.KernelSpec("inverse_power", beta=2.0),
-            viscosity=0.3, particle_count=4 * m * m, r0=1.0,
-            init_profile=domain.InitSpec(
-                fluid="taylor_green", fluid_params={"amplitude": 1.0},
-                particles="lattice",
-                particle_params={"m": m, "density_amp": 0.3}),
-            seed=0,
-            output=domain.OutputSpec(dir=str(out), series_every_steps=100)))
+    for tag in presets.REFINEMENT_LEVELS:
+        cfg = presets.refinement(tmp_path_factory.mktemp(f"acc_rho_{tag}"),
+                                 tag)
         runs[tag] = (cfg, driver.run(cfg))
     return runs
 
@@ -225,12 +191,13 @@ def test_criterion_07_decay_exponent(run_decay_3d):
     cfg, res = run_decay_3d
     data = io.read_timeseries(res.series_path)
     fit = diagnostics.fit_decay_exponent(data["t"], data["E"], 5.0, 50.0,
-                                         box_length=100.0, nu=1.0)
+                                         box_length=cfg.box.L,
+                                         nu=cfg.viscosity)
     assert not fit.warnings
     assert -1.8 <= fit.slope <= -1.2
     speed_fit = diagnostics.fit_decay_exponent(
         data["t"], np.sqrt(2.0 * data["E"]), 5.0, 50.0,
-        box_length=100.0, nu=1.0)
+        box_length=cfg.box.L, nu=cfg.viscosity)
     assert -0.9 <= speed_fit.slope <= -0.6
 
 
@@ -271,8 +238,9 @@ def test_criterion_10_density_norm_invariance(refinement_pair):
 def test_criterion_11_determinism(tmp_path):
     outputs = []
     for tag in ("first", "second"):
-        cfg = coupled_config(tmp_path / tag, 64, 1000, 1e-3, 0.2, 50,
-                             seed=77, snapshot_every=100)
+        cfg = presets.coupled(tmp_path / tag, N=64, particle_count=1000,
+                              t_end=0.2, series_every=50, snapshot_every=100,
+                              seed=77)
         res = driver.run(cfg)
         assert res.max_energy_step_increase <= 1e-10
         blobs = [res.series_path.read_bytes()]

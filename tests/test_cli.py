@@ -83,6 +83,43 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "visocity" in err
 
 
+WRONG_TYPED = [
+    ("dt", "0.001"), ("t_end", "0.02"), ("viscosity", "1.0"), ("r0", "1.0"),
+    ("box.L", "6.283185307179586"), ("kernel.beta", "2.0"), ("cfl", "0.5"),
+    ("coupling_enabled", "false"), ("adaptive", "no"),
+    ("init_profile.fluid_params.u_rms", True), ("particle_count", "30"),
+]
+
+
+def write_data_with(config_path, values):
+    data = json.loads(config_path.read_text())
+    for path, value in values:
+        *parents, key = path.split(".")
+        table = data
+        for name in parents:
+            table = table[name]
+        table[key] = value
+    config_path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("path, value", WRONG_TYPED)
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, path, value):
+    config_path, _ = write_config(tmp_path)
+    write_data_with(config_path, [(path, value)])
+    assert cli.main(["run", str(config_path)]) == 2
+    assert f"config error at {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_wrong_typed_config_values_are_named_together(tmp_path, capsys):
+    config_path, _ = write_config(tmp_path)
+    write_data_with(config_path, WRONG_TYPED)
+    assert cli.main(["run", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    for path, _ in WRONG_TYPED:
+        assert f"config error at {path}: " in err
+
+
 def test_resume_via_cli_matches_uninterrupted(tmp_path):
     _, cfg_full = write_config(tmp_path, t_end=0.04,
                                output=OutputSpec(dir=str(tmp_path / "full"),

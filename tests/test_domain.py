@@ -131,6 +131,26 @@ def test_validate_lattice_count():
         validate_config(make_config(particle_count=100, init_profile=init))
 
 
+@pytest.mark.parametrize("path, overrides", [
+    ("init_profile.fluid_params.velocity", dict(init_profile=InitSpec(
+        fluid="uniform", fluid_params={"velocity": ["0.1", "a"]}))),
+    ("init_profile.particle_params.velocity", dict(init_profile=InitSpec(
+        particles="flocked", particle_params={"velocity": ["a", 0.1]}))),
+    ("init_profile.particle_params.velocity", dict(init_profile=InitSpec(
+        particles="flocked", particle_params={"velocity": 0.1}))),
+    ("init_profile.fluid_params", dict(init_profile=InitSpec(
+        fluid="broadband", fluid_params=[2.0, 0.5]))),
+    ("r0", dict(r0="1.0", init_profile=InitSpec(
+        particles="lattice", particle_params={"m": 1}))),
+    ("box.d", dict(box=BoxSpec("2", 2 * math.pi, 32), init_profile=InitSpec(
+        particles="lattice", particle_params={"m": 1}))),
+])
+def test_validate_names_wrong_typed_values(path, overrides):
+    with pytest.raises(ConfigError) as err:
+        validate_config(make_config(particle_count=4, **overrides))
+    assert path in {p for p, _ in err.value.errors}
+
+
 def test_validate_unknown_profile_parameter():
     init = InitSpec(fluid="broadband", fluid_params={"xi_cut": 2.0, "u_rmss": 1.0})
     with pytest.raises(ConfigError, match="u_rmss"):

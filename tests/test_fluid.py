@@ -73,6 +73,25 @@ def test_low_freq_energy_shells():
     assert fluid.low_freq_energy(c, BOX2, 50.0) == pytest.approx(total, rel=1e-12)
 
 
+@pytest.mark.parametrize("box", [BOX2, BoxSpec(2, 2 * math.pi, 128),
+                                 BOX3, BoxSpec(3, 100.0, 16)])
+def test_parseval_sums_keep_their_bits(box):
+    # the formulas each function wrote out before they shared one sum
+    grid = wavenumbers(box)
+    rng = np.random.Generator(np.random.PCG64(box.N))
+    c = (rng.standard_normal((box.d,) + box.spectral_shape)
+         + 1j * rng.standard_normal((box.d,) + box.spectral_shape))
+    sq = c.real**2 + c.imag**2
+    w = grid.parseval_weight
+    assert fluid.spectral_l2sq(c, box) == float(box.volume * np.sum(w * sq))
+    nu = 0.3
+    assert fluid.dissipation_rate(c, box, nu) == float(
+        nu * box.volume * np.sum(w * grid.xi_sq * sq))
+    r = 3.0 * 2 * math.pi / box.L
+    assert fluid.low_freq_energy(c, box, r) == float(
+        box.volume * np.sum(w * (grid.xi_sq <= r * r) * sq))
+
+
 def test_leray_annihilates_gradients():
     xx, yy = grid_mesh(BOX2)
     grad = np.stack([np.cos(xx + yy), np.cos(xx + yy)])
