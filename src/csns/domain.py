@@ -10,26 +10,29 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 KERNEL_KINDS = ("constant", "inverse_power")
-FLUID_PROFILES = ("zero", "uniform", "taylor_green", "broadband")
-PARTICLE_PROFILES = ("gaussian", "uniform_ball", "lattice", "flocked")
 
-FLUID_PARAM_KEYS = {
-    "zero": set(),
-    "uniform": {"velocity"},
-    "taylor_green": {"amplitude"},
-    "broadband": {"xi_cut", "u_rms"},
+# Each profile's parameters: name -> (kind, required).  An optional one
+# left out takes the default that initial.py or particles.py gives it.
+FLUID_PARAMS = {
+    "zero": {},
+    "uniform": {"velocity": ("vector", True)},
+    "taylor_green": {"amplitude": ("number", False)},
+    "broadband": {"xi_cut": ("positive", True), "u_rms": ("positive", True)},
 }
-PARTICLE_PARAM_KEYS = {
-    "gaussian": {"sigma_x", "sigma_v", "center"},
-    "uniform_ball": set(),
-    "lattice": {"m", "v0", "density_amp"},
-    "flocked": {"velocity"},
+PARTICLE_PARAMS = {
+    "gaussian": {"sigma_x": ("positive", False),
+                 "sigma_v": ("positive", False), "center": ("vector", False)},
+    "uniform_ball": {},
+    "lattice": {"m": ("count", True), "v0": ("nonnegative", False),
+                "density_amp": ("fraction", False)},
+    "flocked": {"velocity": ("vector", True)},
 }
 
 
@@ -159,125 +162,122 @@ def _is_vector(value, d):
         return False
 
 
-def _is_pow_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
+# kind -> (test(value, d), message); a message is formatted with the value
+# and d, the box dimension
+_KINDS = {
+    "number": (lambda v, d: _is_real(v), "must be a number"),
+    "positive": (lambda v, d: _is_real(v) and v > 0,
+                 "must be a positive number"),
+    "nonnegative": (lambda v, d: _is_real(v) and v >= 0,
+                    "must be a number >= 0"),
+    # |amp| = 1 gives a one-node lattice no weight at all
+    "fraction": (lambda v, d: _is_real(v) and abs(v) < 1,
+                 "must be a number in (-1, 1)"),
+    "vector": (_is_vector, "must be a vector of {d} numbers"),
+    "count": (lambda v, d: _is_int(v) and v >= 1, "must be an integer >= 1"),
+    "size": (lambda v, d: _is_int(v) and v >= 0, "must be an integer >= 0"),
+    "period": (lambda v, d: _is_int(v) and v >= 0,
+               "must be an integer >= 0 (0 disables)"),
+    "flag": (lambda v, d: isinstance(v, bool), "must be true or false"),
+    "dimension": (lambda v, d: _is_int(v) and v in (2, 3),
+                  "dimension must be 2 or 3"),
+    "grid": (lambda v, d: _is_int(v) and v >= 8 and v & (v - 1) == 0,
+             "N must be even power of two (>= 8)"),
+    "cap": (lambda v, d: _is_real(v) and v == 1,
+            "unit cap is fixed at 1 in this version"),
+    "courant": (lambda v, d: _is_real(v) and 0 < v <= 1,
+                "Courant factor must be a number in (0, 1]"),
+    "seed": (lambda v, d: _is_int(v) and 0 <= v < 2**64,
+             "must be a 64-bit unsigned integer"),
+    "text": (lambda v, d: isinstance(v, str), "must be a string"),
+    "file name": (lambda v, d: isinstance(v, str) and v != "",
+                  "must be a non-empty file name"),
+    "kernel": (lambda v, d: isinstance(v, str) and v in KERNEL_KINDS,
+               "unknown kind {!r}"),
+    "fluid": (lambda v, d: isinstance(v, str) and v in FLUID_PARAMS,
+              "unknown profile {!r}"),
+    "particles": (lambda v, d: isinstance(v, str) and v in PARTICLE_PARAMS,
+                  "unknown profile {!r}"),
+}
 
-
-def _check_profile_params(errors, path, params, allowed):
-    if not isinstance(params, dict):
-        errors.append((path, "must be a table of parameters"))
-        return
-    for key in params:
-        if key not in allowed:
-            errors.append((f"{path}.{key}", "unknown parameter"))
+# (dotted path in SimConfig, kind) of every scalar field
+_FIELDS = (
+    ("box.d", "dimension"), ("box.N", "grid"), ("box.L", "positive"),
+    ("kernel.kind", "kernel"), ("kernel.beta", "nonnegative"),
+    ("kernel.cap", "cap"), ("viscosity", "positive"), ("dt", "positive"),
+    ("t_end", "nonnegative"), ("cfl", "courant"), ("adaptive", "flag"),
+    ("coupling_enabled", "flag"), ("particle_count", "size"),
+    ("r0", "positive"), ("seed", "seed"),
+    ("init_profile.fluid", "fluid"), ("init_profile.particles", "particles"),
+    ("output.dir", "text"), ("output.series", "file name"),
+    ("output.series_every_steps", "count"),
+    ("output.snapshot_every_steps", "period"),
+    ("output.checkpoint_every_steps", "period"),
+)
 
 
 def validate_config(cfg):
     """Validate every invariant; returns the config or raises ConfigError listing
     all violations with field paths."""
-    errors = []
-    box = cfg.box
-
-    if not (_is_int(box.d) and box.d in (2, 3)):
-        errors.append(("box.d", "dimension must be 2 or 3"))
-    if not (_is_int(box.N) and _is_pow_two(box.N) and box.N >= 8):
-        errors.append(("box.N", "N must be even power of two (>= 8)"))
-    if not (_is_real(box.L) and box.L > 0):
-        errors.append(("box.L", "box side must be a positive number"))
-
-    k = cfg.kernel
-    if k.kind not in KERNEL_KINDS:
-        errors.append(("kernel.kind", f"unknown kind {k.kind!r}"))
-    else:
-        if not (_is_real(k.beta) and k.beta >= 0):
-            errors.append(("kernel.beta", "exponent must be a number >= 0"))
-        elif k.cap != 1.0:
-            errors.append(("kernel.cap", "unit cap is fixed at 1 in this version"))
-        else:
-            smax = phi_slope_max(k)
-            if smax > 1.0 + 1e-12:
-                errors.append(
-                    ("kernel.beta",
-                     f"kernel slope exceeds the unit cap (max |phi'| = {smax:.4f})"))
-
-    if not (_is_real(cfg.viscosity) and cfg.viscosity > 0):
-        errors.append(("viscosity", "must be a positive number"))
-    if not (_is_real(cfg.dt) and cfg.dt > 0):
-        errors.append(("dt", "must be a positive number"))
-    if not (_is_real(cfg.t_end) and cfg.t_end >= 0):
-        errors.append(("t_end", "must be a number >= 0"))
-    if not (_is_real(cfg.cfl) and 0 < cfg.cfl <= 1):
-        errors.append(("cfl", "Courant factor must be a number in (0, 1]"))
-    for name in ("adaptive", "coupling_enabled"):
-        if not isinstance(getattr(cfg, name), bool):
-            errors.append((name, "must be true or false"))
-    if not (_is_int(cfg.particle_count) and cfg.particle_count >= 0):
-        errors.append(("particle_count", "must be an integer >= 0"))
-    r0_ok = _is_real(cfg.r0) and cfg.r0 > 0
-    if not r0_ok:
-        errors.append(("r0", "initial v-support radius must be a positive "
-                             "number"))
-    if not (_is_int(cfg.seed) and 0 <= cfg.seed < 2**64):
-        errors.append(("seed", "must be a 64-bit unsigned integer"))
-
+    errors, d = [], cfg.box.d
+    checks = [(path, attrgetter(path)(cfg), kind) for path, kind in _FIELDS]
     init = cfg.init_profile
-    if init.fluid not in FLUID_PROFILES:
-        errors.append(("init_profile.fluid", f"unknown profile {init.fluid!r}"))
-    else:
-        _check_profile_params(errors, "init_profile.fluid_params",
-                              init.fluid_params, FLUID_PARAM_KEYS[init.fluid])
-        fp = init.fluid_params if isinstance(init.fluid_params, dict) else {}
-        if init.fluid == "taylor_green":
-            if (box.d != 2 or not _is_real(box.L)
-                    or abs(box.L - TWO_PI) > 1e-12):
-                errors.append(("init_profile.fluid",
-                               "taylor_green requires d=2 and L=2*pi"))
-        if init.fluid == "uniform":
-            if not _is_vector(fp.get("velocity"), box.d):
-                errors.append(("init_profile.fluid_params.velocity",
-                               f"must be a vector of {box.d} numbers"))
-        if init.fluid == "broadband":
-            for key in ("xi_cut", "u_rms"):
-                val = fp.get(key)
-                if not (_is_real(val) and val > 0):
-                    errors.append((f"init_profile.fluid_params.{key}",
-                                   "broadband needs a positive number"))
+    for path, name, params, declared in (
+            ("init_profile.fluid_params", init.fluid, init.fluid_params,
+             FLUID_PARAMS),
+            # particles are sampled only when there are some
+            ("init_profile.particle_params", init.particles,
+             init.particle_params,
+             PARTICLE_PARAMS if cfg.particle_count != 0 else {})):
+        if not (isinstance(name, str) and name in declared):
+            continue
+        if not isinstance(params, dict):
+            errors.append((path, "must be a table of parameters"))
+            continue
+        errors += [(f"{path}.{key}", "unknown parameter") for key in params
+                   if key not in declared[name]]
+        checks += [(f"{path}.{key}", params.get(key), kind)
+                   for key, (kind, required) in declared[name].items()
+                   if required or key in params]
 
-    if init.particles not in PARTICLE_PROFILES:
-        errors.append(("init_profile.particles", f"unknown profile {init.particles!r}"))
-    elif (isinstance(cfg.particle_count, numbers.Real)
-          and cfg.particle_count > 0):
-        pp = init.particle_params
-        _check_profile_params(errors, "init_profile.particle_params",
-                              pp, PARTICLE_PARAM_KEYS[init.particles])
-        if init.particles == "lattice" and isinstance(pp, dict):
-            m = pp.get("m")
-            if not (_is_int(m) and m >= 1):
-                errors.append(("init_profile.particle_params.m",
-                               "lattice needs an integer per-axis count m >= 1"))
-            elif box.d in (2, 3) and cfg.particle_count != 2 * box.d * m**box.d:
-                errors.append(("particle_count",
-                               f"lattice with m={m} needs {2 * box.d * m**box.d} particles"))
-            v0 = pp.get("v0", 0.0)
-            if r0_ok and not (_is_real(v0) and 0 <= v0 <= cfg.r0):
-                errors.append(("init_profile.particle_params.v0",
-                               "stencil speed must lie in [0, r0]"))
-        if init.particles == "flocked" and isinstance(pp, dict):
-            vel = pp.get("velocity")
-            if not _is_vector(vel, box.d):
-                errors.append(("init_profile.particle_params.velocity",
-                               f"must be a vector of {box.d} numbers"))
-            elif (r0_ok and math.sqrt(sum(float(v) ** 2 for v in vel))
-                  > cfg.r0 + 1e-12):
-                errors.append(("init_profile.particle_params.velocity",
-                               "flocked speed exceeds r0"))
+    good = {}
+    for path, value, kind in checks:
+        test, message = _KINDS[kind]
+        if test(value, d):
+            good[path] = value
+        else:
+            errors.append((path, message.format(value, d=d)))
 
-    out = cfg.output
-    if not (_is_int(out.series_every_steps) and out.series_every_steps >= 1):
-        errors.append(("output.series_every_steps", "must be an integer >= 1"))
-    for name in ("snapshot_every_steps", "checkpoint_every_steps"):
-        if not (_is_int(getattr(out, name)) and getattr(out, name) >= 0):
-            errors.append((f"output.{name}", "must be an integer >= 0 (0 disables)"))
+    # rules across fields, each checked once the fields it reads are good
+    fp, pp = "init_profile.fluid_params.", "init_profile.particle_params."
+    box, r0 = cfg.box, good.get("r0", math.inf)
+    if {"kernel.kind", "kernel.beta", "kernel.cap"} <= good.keys():
+        smax = phi_slope_max(cfg.kernel)
+        if smax > 1.0 + 1e-12:
+            errors.append(("kernel.beta", "kernel slope exceeds the unit cap "
+                           f"(max |phi'| = {smax:.4f})"))
+    if init.fluid == "taylor_green" and (
+            d != 2 or not _is_real(box.L) or abs(box.L - TWO_PI) > 1e-12):
+        errors.append(("init_profile.fluid",
+                       "taylor_green requires d=2 and L=2*pi"))
+    if fp + "xi_cut" in good and "box.L" in good:
+        # |xi|^2 as wavenumbers builds it, so that broadband_field agrees
+        scale, cut = TWO_PI / box.L, good[fp + "xi_cut"]
+        if scale * scale > cut * cut:
+            errors.append((fp + "xi_cut", f"must be >= 2*pi/L = {scale:.6g}"))
+    m = good.get(pp + "m")
+    if (m is not None and {"box.d", "particle_count"} <= good.keys()
+            and cfg.particle_count != 2 * d * m**d):
+        errors.append(("particle_count",
+                       f"lattice with m={m} needs {2 * d * m**d} particles"))
+    if good.get(pp + "v0", 0.0) > r0:
+        errors.append((pp + "v0", "stencil speed must lie in [0, r0]"))
+    # sample_initial redraws each speed above r0; with sigma_v <= r0 a draw
+    # lands inside with probability at least 39% in 2D and 19.9% in 3D
+    if good.get(pp + "sigma_v", 0.0) > r0:
+        errors.append((pp + "sigma_v", "must not exceed r0"))
+    if math.hypot(*good.get(pp + "velocity", ())) > r0 + 1e-12:
+        errors.append((pp + "velocity", "flocked speed exceeds r0"))
 
     if errors:
         raise ConfigError(errors)

@@ -391,47 +391,39 @@ def _run_lanes(jobs, pool, box):
     jobs fn needs, in the work buffers of the thread that runs it.
 
     Without a pool the jobs run in order on the calling thread.  On the
-    pool each job first waits for the events of the jobs it needs, and sets
-    its own in a finally block; once a job has raised, the jobs not yet
-    begun are skipped.  So a failure never leaves a job waiting, and the
-    caller, which waits for every job, raises the first exception in job
-    order.  A job waits only for jobs listed before it, and the pool takes
-    jobs in the order they were queued, so every job a waiting job needs
-    was taken by a thread before it, and the earliest unfinished job waits
-    for nothing: callers sharing the pool cannot deadlock.
+    pool each job is submitted with the futures of the jobs it needs and
+    first takes their results, so a failure passes on to every job that
+    needs the failed one, and the caller, which takes the results in job
+    order, raises the first exception in job order.  Whether it leaves
+    with the results, a job's exception or an interrupt, it then cancels
+    the jobs not yet begun and waits for the rest, since the jobs write
+    into its buffers.  A job waits only for jobs listed before it, and
+    the pool takes jobs in the order they were queued, so every job a
+    waiting job needs was taken by a thread (or cancelled) before it, and
+    the earliest unfinished job waits for nothing: callers sharing the
+    pool cannot deadlock.
     """
     if pool is None:
         work = _thread_work(box)
         for fn, _ in jobs:
             fn(work)
         return
-    done = [threading.Event() for _ in jobs]
-    failed = []
 
-    def run(k):
-        fn, after = jobs[k]
-        try:
-            for j in after:
-                done[j].wait()
-            if not failed:
-                fn(_thread_work(box))
-        except BaseException:
-            failed.append(k)
-            raise
-        finally:
-            done[k].set()
+    def run(fn, needs):
+        for future in needs:
+            future.result()
+        fn(_thread_work(box))
 
-    futures = [pool.submit(run, k) for k in range(len(jobs))]
+    futures = []
     try:
+        for fn, after in jobs:
+            futures.append(pool.submit(run, fn, [futures[j] for j in after]))
+        for future in futures:
+            future.result()
+    finally:
+        for future in futures:
+            future.cancel()
         wait(futures)
-    except BaseException:
-        # interrupted: the jobs write into the caller's buffers, so skip
-        # those not yet begun and let the others end before leaving
-        failed.append(None)
-        wait(futures)
-        raise
-    for future in futures:
-        future.result()
 
 
 def _rhs_scratch(box):

@@ -120,6 +120,20 @@ def test_wrong_typed_config_values_are_named_together(tmp_path, capsys):
         assert f"config error at {path}: " in err
 
 
+def test_broadband_cut_below_the_lowest_mode_exits_2(tmp_path, capsys):
+    # on a box of side 2.5 the lowest nonzero wavenumber is 2*pi/2.5 > 2.5
+    box = BoxSpec(d=2, L=2.5, N=8)
+    config_path, _ = write_config(tmp_path, box=box)
+    assert cli.main(["run", str(config_path)]) == 2
+    assert "config error at init_profile.fluid_params.xi_cut: " \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a cut at that wavenumber holds its modes and runs
+    write_data_with(config_path, [("init_profile.fluid_params.xi_cut",
+                                   2.0 * math.pi / 2.5)])
+    assert cli.main(["run", str(config_path)]) == 0
+
+
 def test_resume_via_cli_matches_uninterrupted(tmp_path):
     _, cfg_full = write_config(tmp_path, t_end=0.04,
                                output=OutputSpec(dir=str(tmp_path / "full"),

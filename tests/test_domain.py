@@ -157,6 +157,27 @@ def test_validate_unknown_profile_parameter():
         validate_config(make_config(init_profile=init))
 
 
+@pytest.mark.parametrize("particles, params, count, key", [
+    # sample_initial redraws speeds above r0 until none is left: these hang
+    ("gaussian", {"sigma_v": 1e6}, 8, "sigma_v"),
+    ("gaussian", {"sigma_v": math.inf}, 8, "sigma_v"),
+    # a one-node lattice at full amplitude has zero total weight
+    ("lattice", {"m": 1, "density_amp": 1.0}, 4, "density_amp"),
+])
+def test_validate_rejects_particle_data_that_cannot_be_drawn(
+        particles, params, count, key):
+    init = InitSpec(particles=particles, particle_params=params)
+    with pytest.raises(ConfigError) as err:
+        validate_config(make_config(particle_count=count, init_profile=init))
+    assert [p for p, _ in err.value.errors] == [
+        f"init_profile.particle_params.{key}"]
+
+
+def test_validate_accepts_sigma_v_at_r0():
+    init = InitSpec(particles="gaussian", particle_params={"sigma_v": 1.5})
+    validate_config(make_config(particle_count=8, r0=1.5, init_profile=init))
+
+
 def test_full_order_indices():
     assert full_order_indices(4).tolist() == [0, 1, 2, -1]
     assert full_order_indices(8).tolist() == [0, 1, 2, 3, 4, -3, -2, -1]

@@ -1,6 +1,8 @@
 import itertools
 import math
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -538,3 +540,43 @@ def test_failed_lane_job_reaches_the_caller(usable_cpus, monkeypatch, name,
         future.result(timeout=30)
     restore()
     assert_same_bits(ended(fn)["result"], want)
+
+
+class Interrupt(Exception):
+    pass
+
+
+def test_interrupted_caller_waits_for_begun_lane_jobs(usable_cpus):
+    # the caller is interrupted while the first job blocks and the second
+    # waits for it: the third, queued behind them, never runs, and the
+    # first has ended before the exception reaches the caller
+    usable_cpus(2)
+    pool = fluid._lane_pool(BOX64)
+    log = []
+
+    def block(work):
+        time.sleep(0.5)
+        log.append("block")
+
+    def interrupt(signum, frame):
+        raise Interrupt
+
+    jobs = [(block, ()), (lambda work: log.append("after"), (0,)),
+            (lambda work: log.append("queued"), ())]
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        with pytest.raises(Interrupt):
+            try:
+                fluid._run_lanes(jobs, pool, BOX64)
+            finally:
+                seen = list(log)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert seen[:1] == ["block"]
+    meet = threading.Barrier(fluid._MAX_LANES)
+    for future in [pool.submit(meet.wait, 20)
+                   for _ in range(fluid._MAX_LANES)]:
+        future.result(timeout=30)
+    assert "queued" not in log

@@ -1,13 +1,15 @@
 """Round trips and failure paths for configs, the series writer, snapshots,
 and checkpoints."""
 
+import copy
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from csns import diagnostics, io
+from csns import diagnostics, driver, io
 from csns.domain import (BoxSpec, ConfigError, InitSpec, KernelSpec,
                          OutputSpec, SimConfig)
 
@@ -93,6 +95,89 @@ def test_config_validation_still_applies():
             "dt": 1e-3, "t_end": 1.0}
     with pytest.raises(ConfigError, match="power of two"):
         io.config_from_data(data)
+
+
+# Every leaf of a small coupled config and of its profile variants, set in
+# turn to each of these values, must end in a ConfigError or in a run that
+# starts: csns run must never meet a traceback or a hang on config input.
+FUZZ_VALUES = ["x", "", True, None, [1, 2], {"a": 1}, math.nan, math.inf,
+               -1, 0, 2.5]
+FUZZ_BASE = {
+    "box": {"d": 2, "L": 2.0 * math.pi, "N": 8},
+    "dt": 1e-3, "t_end": 0.01, "viscosity": 1.0,
+    "kernel": {"kind": "inverse_power", "beta": 2.0, "cap": 1.0},
+    "particle_count": 8, "r0": 1.0, "cfl": 0.5, "adaptive": False,
+    "seed": 3, "coupling_enabled": True,
+    "init_profile": {
+        "fluid": "broadband", "fluid_params": {"xi_cut": 2.5, "u_rms": 0.3},
+        "particles": "gaussian",
+        "particle_params": {"sigma_x": 0.5, "sigma_v": 0.3,
+                            "center": [1.0, 2.0]}},
+    "output": {"dir": "out", "series": "series.csv",
+               "series_every_steps": 1, "snapshot_every_steps": 0,
+               "checkpoint_every_steps": 0},
+}
+FUZZ_VARIANTS = {
+    "coupled": {},
+    "lattice": {"particle_count": 4, "init_profile": {
+        "particles": "lattice",
+        "particle_params": {"m": 1, "v0": 0.5, "density_amp": 0.3}}},
+    "flocked": {"init_profile": {
+        "particles": "flocked", "particle_params": {"velocity": [0.3, 0.4]}}},
+    "uniform": {"init_profile": {
+        "fluid": "uniform", "fluid_params": {"velocity": [0.1, -0.2]}}},
+    "taylor_green": {"init_profile": {
+        "fluid": "taylor_green", "fluid_params": {"amplitude": 0.5}}},
+}
+
+
+def fuzz_config(variant):
+    data = copy.deepcopy(FUZZ_BASE)
+    for key, value in FUZZ_VARIANTS[variant].items():
+        if isinstance(value, dict):
+            data[key].update(value)
+        else:
+            data[key] = value
+    return data
+
+
+def leaf_paths(table, prefix=()):
+    for key, value in table.items():
+        if isinstance(value, dict) and value:
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def fuzz_cases(variant):
+    """(path, value, data) for each leaf of the variant and fuzz value."""
+    base = fuzz_config(variant)
+    for path in leaf_paths(base):
+        for value in FUZZ_VALUES:
+            data = copy.deepcopy(base)
+            table = data
+            for key in path[:-1]:
+                table = table[key]
+            table[path[-1]] = copy.deepcopy(value)
+            yield ".".join(path), value, data
+
+
+@pytest.mark.parametrize("variant", sorted(FUZZ_VARIANTS))
+def test_config_fuzz_fails_cleanly_or_starts(variant, tmp_path,
+                                             monkeypatch):
+    # an accepted config runs to t_end = 0: sampled, deposited, its first
+    # row written under its output paths, and no step taken
+    monkeypatch.chdir(tmp_path)
+    faults = []
+    for path, value, data in fuzz_cases(variant):
+        try:
+            cfg = io.config_from_data(data)
+            driver.run(dataclasses.replace(cfg, t_end=0.0))
+        except ConfigError:
+            continue
+        except Exception as exc:  # noqa: BLE001 - every fault is listed
+            faults.append(f"{path} = {value!r}: {exc!r}")
+    assert not faults, "\n".join(faults)
 
 
 def make_row(columns, t, e, lowfreq=1.0):
