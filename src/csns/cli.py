@@ -63,11 +63,7 @@ def cmd_run(args):
         return 2
     try:
         if args.resume:
-            try:
-                result = driver.resume_run(args.resume)
-            except (OSError, io.BadCheckpoint) as exc:
-                print(f"cannot resume: {exc}", file=sys.stderr)
-                return 1
+            result = driver.resume_run(args.resume)
         else:
             cfg = io.parse_config(args.config)
             if args.seed is not None:
@@ -79,6 +75,9 @@ def cmd_run(args):
             result = driver.run(cfg)
     except driver.SimulationUnstable as exc:
         print(f"unstable: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, io.BadCheckpoint) as exc:
+        print(f"cannot run: {exc}", file=sys.stderr)  # exc names the file
         return 1
     print(f"finished t = {result.state.t:g} after {result.n_steps} steps")
     print(f"series: {result.series_path}")

@@ -256,6 +256,11 @@ def validate_config(cfg):
         if smax > 1.0 + 1e-12:
             errors.append(("kernel.beta", "kernel slope exceeds the unit cap "
                            f"(max |phi'| = {smax:.4f})"))
+    if {"box.d", "box.L"} <= good.keys():
+        try:
+            float(box.L) ** d
+        except OverflowError:
+            errors.append(("box.L", f"the box volume L**{d} overflows"))
     if init.fluid == "taylor_green" and (
             d != 2 or not _is_real(box.L) or abs(box.L - TWO_PI) > 1e-12):
         errors.append(("init_profile.fluid",

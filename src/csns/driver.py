@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, fluid, initial, io, particles
-from .domain import wavenumbers
 
 
 class SimulationUnstable(RuntimeError):
@@ -62,19 +61,17 @@ def _stage(cfg, state):
 
     Returns the fluid rate g and the particle rates (rx, rv), or None for
     the particle rates of an empty ensemble, which deposits nothing.  The
-    stencil of the moments serves every field read at the stage.
+    drag is dealiased and projected with the advection.  The stencil of the
+    moments serves every field read at the stage.
     """
-    box = cfg.box
-    g = fluid.nonlinear_term(state.u.c, box)
-    ens = state.ens
+    box, ens = cfg.box, state.ens
     if ens.n == 0:
-        return g, None
+        return fluid.nonlinear_term(state.u.c, box), None
     m = ensure_moments(state, cfg.kernel, box)
     u = state.u.values()
-    if cfg.coupling_enabled:
-        g = g + fluid.leray_project(fluid.forward_transform(
-            particles.drag_field(m, u, box), box), box)
-    return g, particles.stage_rates(ens.X, ens.V, m, u, box)
+    h = particles.drag_field(m, u, box) if cfg.coupling_enabled else None
+    return (fluid.nonlinear_term(state.u.c, box, h),
+            particles.stage_rates(ens.X, ens.V, m, u, box))
 
 
 def _moved(ens, h, rx, rv, box):
@@ -95,8 +92,7 @@ def coupled_step(state, cfg, dt):
         return _stage(cfg, SimState(t, k, fluid.VelocityField(box, c_star),
                                     star))
 
-    c1, r1 = fluid.if_heun(state.u.c, dt, cfg.viscosity, wavenumbers(box),
-                           g0, g_of)
+    c1, r1 = fluid.if_heun(state.u.c, dt, cfg.viscosity, box, g0, g_of)
     if ens.n:
         ens = _moved(ens, 0.5 * dt, r0[0] + r1[0], r0[1] + r1[1], box)
     return SimState(t, k, fluid.VelocityField(box, c1), ens)

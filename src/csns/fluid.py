@@ -259,7 +259,7 @@ def _block_inverse(c, out, work):
 
 
 def _product_block(ua, ub, out, work):
-    """Write into out the block of the rfft coefficients of ua * ub.
+    """Write into out the block of the rfft of ua * ub, or of ua if ub is None.
 
     These are the 1-D passes of np.fft.rfftn, in its axis order, each cut to
     the retained modes of its axis before the next pass.
@@ -270,7 +270,8 @@ def _product_block(ua, ub, out, work):
     for r0 in range(0, N, step):
         chunk = slice(r0, r0 + step)
         k = min(step, N - r0)
-        p = np.multiply(ua[chunk], ub[chunk], out=work.product[:k])
+        p = ua[chunk] if ub is None else np.multiply(
+            ua[chunk], ub[chunk], out=work.product[:k])
         t = np.fft.rfft(p, axis=-1, norm="forward",
                         out=work.half[:k])[..., :cols]
         if t.ndim == 2:
@@ -299,11 +300,12 @@ def _finish_rows(t_hat, g, project, lo, hi, work):
     spectrum g.
 
     t_hat holds the block transforms of the products u_a u_b in _pairs
-    order.  Each chunk of rows starts from zero, subtracts i xi_b t_ab from
-    component a (and i xi_a t_ab from b) pair by pair in that order, is
-    projected when project, and is copied to its place in g.
+    order, then those of any forcing.  Each chunk of rows starts from zero,
+    subtracts i xi_b t_ab from component a (and i xi_a t_ab from b) pair by
+    pair in that order, adds the forcing, is projected when project, and is
+    copied to its place in g.
     """
-    block, d = work.block, len(g)
+    block, pairs = work.block, _pairs(len(g))
     cols = slice(0, block.cols)
     for r0 in range(lo, hi, work.finish_rows):
         rows = slice(r0, min(r0 + work.finish_rows, hi))
@@ -313,10 +315,12 @@ def _finish_rows(t_hat, g, project, lo, hi, work):
         xi = (block.xi[0][rows],) + block.xi[1:]
         i_xi = (block.i_xi[0][rows],) + block.i_xi[1:]
         acc.fill(0)
-        for p, (a, b) in enumerate(_pairs(d)):
+        for p, (a, b) in enumerate(pairs):
             acc[a] -= np.multiply(i_xi[b], t_hat[p, rows], out=tmp)
             if b != a:
                 acc[b] -= np.multiply(i_xi[a], t_hat[p, rows], out=tmp)
+        for a, t in enumerate(t_hat[len(pairs):]):
+            acc[a] += t[rows]
         if project:
             _project_into(acc, xi, block.inv_xi_sq[rows], acc, div, tmp)
         for b0, full in block.runs:
@@ -426,60 +430,63 @@ def _run_lanes(jobs, pool, box):
         wait(futures)
 
 
-def _rhs_scratch(box):
-    """The velocity samples u and the block transforms of the products of
-    one right-hand side.
+def _rhs_scratch(box, transforms):
+    """Room for the velocity samples u and transforms block transforms.
 
     On grids of at least _LANE_MIN_POINTS points the calling thread owns
-    them and keeps them for its next call on the same grid: made afresh on
-    each call, these 10 MB at 64^3 were handed back to the system and
-    faulted in again, about 2700 page faults and 10 ms of system time per
-    fluid3d step.  Below the gate they are made for each call, which kept
-    0.3 MB less resident on a 128^2 coupled run.
+    them and keeps them for its next call on the same grid and as many
+    transforms or fewer: made afresh on each call, these 10 MB at 64^3 were
+    handed back to the system and faulted in again, about 2700 page faults
+    and 10 ms of system time per fluid3d step.  Below the gate they are
+    made for each call, which kept 0.3 MB less resident on a 128^2 run.
     """
     scratch = getattr(_owned, "rhs", None)
-    if scratch is None or scratch[0] != box:
-        products = (len(_pairs(box.d)),) + retained_block(box).inv_xi_sq.shape
+    if scratch is None or scratch[0] != box or len(scratch[2]) < transforms:
+        shape = (transforms,) + retained_block(box).inv_xi_sq.shape
         scratch = (box, np.empty((box.d,) + box.shape),
-                   np.empty(products, dtype=complex))
+                   np.empty(shape, dtype=complex))
         if box.N ** box.d >= _LANE_MIN_POINTS:
             _owned.rhs = scratch
-    return scratch[1:]
+    return scratch[1], scratch[2][:transforms]
 
 
-def _right_hand_side(c, box, project):
-    """-(u . grad) u in divergence form, projected when project, as a half
-    spectrum.
+def _right_hand_side(c, box, project, h):
+    """-(u . grad) u + h, the advection in divergence form, projected when
+    project, as a half spectrum.
 
-    u is the velocity of c dealiased by the 2/3 rule; every mode off the
-    retained block is zero in the dealiased transform, so it is never
-    computed.  One job list holds the d inverse and d(d+1)/2 product block
-    transforms and the row jobs that finish the block into the result.
+    u is the velocity of c; both terms are dealiased by the 2/3 rule, so
+    every mode off the retained block is zero and never computed.  One job
+    list holds the d inverse, d(d+1)/2 product and, when the body force h
+    is given, d forcing block transforms, and the row jobs that finish the
+    block into the result.
     """
     block = retained_block(box)
-    d, pool = box.d, _lane_pool(box)
-    u, t_hat = _rhs_scratch(box)
+    d, pool, pairs = box.d, _lane_pool(box), _pairs(box.d)
+    forcing = () if h is None else range(d)
+    u, t_hat = _rhs_scratch(box, len(pairs) + len(forcing))
     g = np.zeros((d,) + box.spectral_shape, dtype=complex)
     jobs = [(partial(_block_inverse, c[a], u[a]), ()) for a in range(d)]
     jobs += [(partial(_product_block, u[a], u[b], t_hat[p]), (a, b))
-             for p, (a, b) in enumerate(_pairs(d))]
+             for p, (a, b) in enumerate(pairs)]
+    jobs += [(partial(_product_block, h[a], None, t_hat[len(pairs) + a]), ())
+             for a in forcing]
     jobs += _row_jobs(partial(_finish_rows, t_hat, g, project),
                       len(block.rows), pool, range(d, len(jobs)))
     _run_lanes(jobs, pool, box)
     return g
 
 
-def nonlinear_term(c, box):
-    """Projected advection term -P[(u . grad) u], dealiased by the 2/3 rule."""
-    return _right_hand_side(c, box, project=True)
+def nonlinear_term(c, box, h=None):
+    """Projected right-hand side -P[(u . grad) u - h], dealiased by the 2/3
+    rule; h is an optional body force given by its grid samples."""
+    return _right_hand_side(c, box, True, h)
 
 
-def pressure_solve(c, box, h_hat=None):
-    """Pressure balancing the divergence of -(u . grad) u + h (mean set to zero)."""
+def pressure_solve(c, box, h=None):
+    """Pressure balancing the divergence of -(u . grad) u + h (mean set to
+    zero), both dealiased; h is an optional body force on the grid."""
     grid = wavenumbers(box)
-    g = _right_hand_side(c, box, project=False)
-    if h_hat is not None:
-        g += h_hat
+    g = _right_hand_side(c, box, False, h)
     return inverse_transform(-1j * _xi_dot(g, grid.xi) * grid.inv_xi_sq, box)
 
 
@@ -507,7 +514,7 @@ def _heun_rows(c0, g0, h, decay, g1, out, lo, hi, work):
     return out
 
 
-def if_heun(c0, dt, nu, grid, g0, g_of):
+def if_heun(c0, dt, nu, box, g0, g_of):
     """One integrating-factor Heun step for c' = -nu |xi|^2 c + G(c).
 
     g0 is G at c0; g_of maps the predictor state to its G value and one
@@ -517,7 +524,6 @@ def if_heun(c0, dt, nu, grid, g0, g_of):
     particles are present.  The predictor decay (c0 + dt g0) and the
     corrector decay (c0 + dt/2 g0) + dt/2 g1 run as row jobs on the lanes.
     """
-    box = grid.box
     pool = _lane_pool(box)
     decay = _viscous_decay(box, nu, dt)
     c_star = np.empty(c0.shape, dtype=complex)
@@ -531,16 +537,10 @@ def if_heun(c0, dt, nu, grid, g0, g_of):
     return c1, extra
 
 
-def ns_step(c, box, nu, dt, h_hat=None):
-    """Advance the incompressible flow one step; h is an optional body force."""
-    grid = wavenumbers(box)
-    hp = None if h_hat is None else leray_project(h_hat, box)
-
-    def rhs(cc):
-        g = nonlinear_term(cc, box)
-        return g if hp is None else g + hp
-
-    return if_heun(c, dt, nu, grid, rhs(c), lambda cc: (rhs(cc), None))[0]
+def ns_step(c, box, nu, dt, h=None):
+    """Advance the flow one step; h is an optional body force on the grid."""
+    return if_heun(c, dt, nu, box, nonlinear_term(c, box, h),
+                   lambda cc: (nonlinear_term(cc, box, h), None))[0]
 
 
 def fluid_momentum(c, box):

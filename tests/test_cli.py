@@ -134,6 +134,33 @@ def test_broadband_cut_below_the_lowest_mode_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(config_path)]) == 0
 
 
+def test_box_volume_overflow_exits_2(tmp_path, capsys):
+    # L**2 is past the largest float, so the volume cannot be formed
+    config_path, _ = write_config(
+        tmp_path, box=BoxSpec(d=2, L=1e300, N=8),
+        init_profile=InitSpec(fluid="broadband",
+                              fluid_params={"xi_cut": 1.0, "u_rms": 0.3},
+                              particles="gaussian"))
+    assert cli.main(["run", str(config_path)]) == 2
+    assert "config error at box.L: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("outdir, series, named", [
+    ("out", "sub/s.csv", "out/sub/s.csv"), ("out", "..", "out/.."),
+    ("out", ".", "out"), ("file", "s.csv", "file"),
+    ("file/sub", "s.csv", "file/sub"),
+], ids=["missing-subdir", "parent", "dot", "dir-is-file", "dir-under-file"])
+def test_run_that_cannot_write_exits_1(tmp_path, capsys, outdir, series,
+                                       named):
+    (tmp_path / "file").write_text("")
+    config_path, _ = write_config(
+        tmp_path, box=BoxSpec(d=2, L=2.0 * math.pi, N=8),
+        output=OutputSpec(dir=str(tmp_path / outdir), series=series))
+    assert cli.main(["run", str(config_path)]) == 1
+    assert str(tmp_path / named) in capsys.readouterr().err
+
+
 def test_resume_via_cli_matches_uninterrupted(tmp_path):
     _, cfg_full = write_config(tmp_path, t_end=0.04,
                                output=OutputSpec(dir=str(tmp_path / "full"),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from csns import diagnostics, driver, fluid, io, oracle, particles
-from csns.domain import BoxSpec, InitSpec, KernelSpec, OutputSpec, SimConfig
+from csns.domain import (BoxSpec, InitSpec, KernelSpec, OutputSpec, SimConfig,
+                         wavenumbers)
 
 BOX2 = BoxSpec(d=2, L=2.0 * math.pi, N=16)
 
@@ -348,3 +349,37 @@ def test_run_series_passes_verification(tmp_path):
     assert all(c.passed for c in checks), \
         [(c.name, c.detail) for c in checks if not c.passed]
     assert res.max_energy_step_increase <= 1e-10
+
+
+def physical_energy(state):
+    u = state.u.values()
+    return 0.5 * float(np.sum(u * u)) * state.u.box.dx ** state.u.box.d
+
+
+def test_coupled_energy_is_the_physical_energy(tmp_path):
+    # the drag is dealiased and projected on the retained block, so the
+    # velocity keeps Hermitian symmetry and Parseval's energy is the grid's
+    cfg = coupled_config(tmp_path)
+    state = driver.initial_state(cfg)
+    for _ in range(50):
+        state = driver.coupled_step(state, cfg, cfg.dt)
+    e = fluid.kinetic_energy(state.u.c, cfg.box)
+    assert abs(e - physical_energy(state)) <= 1e-14 * e
+
+
+def test_coupled_run_from_off_block_data_passes_verification(tmp_path):
+    # on 8^2 a cut of 3.5 gives the initial field modes the 2/3 rule drops
+    box = BoxSpec(d=2, L=2.0 * math.pi, N=8)
+    cfg = coupled_config(
+        tmp_path, box=box, particle_count=64, t_end=0.5,
+        init_profile=InitSpec(fluid="broadband",
+                              fluid_params={"xi_cut": 3.5, "u_rms": 0.3},
+                              particles="gaussian"),
+        output=OutputSpec(dir=str(tmp_path), series="series.csv",
+                          series_every_steps=5))
+    c0 = driver.initial_state(cfg).u.c
+    assert np.any(c0[:, ~wavenumbers(box).dealias] != 0)
+    res = driver.run(cfg)
+    checks = diagnostics.verify_timeseries(io.read_timeseries(res.series_path))
+    assert all(c.passed for c in checks), \
+        [(c.name, c.detail) for c in checks if not c.passed]

@@ -143,7 +143,7 @@ def test_pressure_solve_gradient_forcing():
     xx, yy = grid_mesh(BOX2)
     h = np.stack([np.cos(xx), np.zeros_like(yy)])
     c = np.zeros((2,) + BOX2.spectral_shape, dtype=complex)
-    p = fluid.pressure_solve(c, BOX2, h_hat=fluid.forward_transform(h, BOX2))
+    p = fluid.pressure_solve(c, BOX2, h=h)
     assert np.max(np.abs(p - np.sin(xx))) < 1e-12
 
 
@@ -198,10 +198,10 @@ def test_ns_step_preserves_divergence_and_momentum():
 def test_ns_step_forced_momentum_gain():
     # a mean force adds volume * h * dt of momentum per step, exactly
     c = np.zeros((2,) + BOX2.spectral_shape, dtype=complex)
-    h = np.zeros((2,) + BOX2.spectral_shape, dtype=complex)
-    h[0, 0, 0] = 0.25
+    h = np.zeros((2,) + BOX2.shape)
+    h[0] = 0.25
     dt = 1e-2
-    c1 = fluid.ns_step(c, BOX2, 1.0, dt, h_hat=h)
+    c1 = fluid.ns_step(c, BOX2, 1.0, dt, h=h)
     gain = fluid.fluid_momentum(c1, BOX2)[0]
     assert gain == pytest.approx(BOX2.volume * 0.25 * dt, rel=1e-14)
 
@@ -239,20 +239,30 @@ def reference_nonlinear(c, box):
     return fluid.leray_project(reference_advection(c, box), box)
 
 
-def reference_pressure(c, box, h_hat):
+def reference_forcing(h, box):
+    # the body force on the grid, masked like the advection
+    return np.where(wavenumbers(box).dealias, fluid.forward_transform(h, box),
+                    0.0)
+
+
+def reference_forced(c, box, h):
+    return fluid.leray_project(
+        reference_advection(c, box) + reference_forcing(h, box), box)
+
+
+def reference_pressure(c, box, h):
     grid = wavenumbers(box)
-    g = reference_advection(c, box) + h_hat
+    g = reference_advection(c, box) + reference_forcing(h, box)
     div = np.zeros(box.spectral_shape, dtype=complex)
     for a in range(box.d):
         div = div + grid.xi[a] * g[a]
     return fluid.inverse_transform(-1j * div * grid.inv_xi_sq, box)
 
 
-def reference_ns_step(c, box, nu, dt, h_hat):
-    hp = fluid.leray_project(h_hat, box)
+def reference_ns_step(c, box, nu, dt, h):
     decay = np.exp(-nu * wavenumbers(box).xi_sq * dt)
-    g0 = reference_nonlinear(c, box) + hp
-    g1 = reference_nonlinear(decay * (c + dt * g0), box) + hp
+    g0 = reference_forced(c, box, h)
+    g1 = reference_forced(decay * (c + dt * g0), box, h)
     return decay * (c + 0.5 * dt * g0) + 0.5 * dt * g1
 
 
@@ -270,16 +280,18 @@ BIT_BOXES = [BoxSpec(2, 2 * math.pi, 8), BoxSpec(2, 2 * math.pi, 32),
 @pytest.mark.parametrize("box", BIT_BOXES, ids=lambda b: f"{b.d}d{b.N}")
 def test_retained_block_rhs_matches_full_grid_bits(box):
     c = fluid.forward_transform(random_field(box, 21, box.d), box)
-    h_hat = fluid.forward_transform(random_field(box, 22, box.d), box)
+    h = random_field(box, 22, box.d)
     assert_same_bits(fluid.nonlinear_term(c, box), reference_nonlinear(c, box))
-    assert_same_bits(fluid.pressure_solve(c, box, h_hat),
-                     reference_pressure(c, box, h_hat))
-    zero = np.zeros_like(c)
+    assert_same_bits(fluid.nonlinear_term(c, box, h),
+                     reference_forced(c, box, h))
+    assert_same_bits(fluid.pressure_solve(c, box, h),
+                     reference_pressure(c, box, h))
+    zero = np.zeros_like(h)
     assert_same_bits(fluid.pressure_solve(c, box),
                      reference_pressure(c, box, zero))
     for _ in range(2):  # the second call takes the cached integrating factor
-        assert_same_bits(fluid.ns_step(c, box, 0.7, 1e-2, h_hat),
-                         reference_ns_step(c, box, 0.7, 1e-2, h_hat))
+        assert_same_bits(fluid.ns_step(c, box, 0.7, 1e-2, h),
+                         reference_ns_step(c, box, 0.7, 1e-2, h))
 
 
 @pytest.mark.parametrize("box", BIT_BOXES, ids=lambda b: f"{b.d}d{b.N}")
@@ -343,18 +355,40 @@ def test_lanes_match_full_grid_bits_at_64(usable_cpus, monkeypatch, lanes):
     usable_cpus(lanes)
     box = BOX64
     c = fluid.forward_transform(random_field(box, 31, box.d), box)
-    h_hat = fluid.forward_transform(random_field(box, 32, box.d), box)
+    h = random_field(box, 32, box.d)
     assert_same_bits(fluid.nonlinear_term(c, box), reference_nonlinear(c, box))
     assert fluid._lanes._max_workers == lanes
     if lanes == 3:
         return
-    assert_same_bits(fluid.pressure_solve(c, box, h_hat),
-                     reference_pressure(c, box, h_hat))
+    assert_same_bits(fluid.nonlinear_term(c, box, h),
+                     reference_forced(c, box, h))
+    assert_same_bits(fluid.pressure_solve(c, box, h),
+                     reference_pressure(c, box, h))
     assert_same_bits(fluid.pressure_solve(c, box),
-                     reference_pressure(c, box, np.zeros_like(c)))
+                     reference_pressure(c, box, np.zeros_like(h)))
     for _ in range(2):
-        assert_same_bits(fluid.ns_step(c, box, 0.7, 1e-2, h_hat),
-                         reference_ns_step(c, box, 0.7, 1e-2, h_hat))
+        assert_same_bits(fluid.ns_step(c, box, 0.7, 1e-2, h),
+                         reference_ns_step(c, box, 0.7, 1e-2, h))
+
+
+def test_forcing_takes_lane_scratch_only_when_given(usable_cpus,
+                                                   monkeypatch):
+    # a call without a body force, as in a particle-free run, keeps room
+    # for the product transforms alone; a forced call adds room for h's,
+    # and a later call without one reuses the larger scratch
+    monkeypatch.delattr(fluid._owned, "rhs", raising=False)
+    usable_cpus(2)
+    h = random_field(BOX64, 24, 3)
+    assert_same_bits(fluid.nonlinear_term(C64, BOX64),
+                     reference_nonlinear(C64, BOX64))
+    assert len(fluid._owned.rhs[2]) == 6
+    assert_same_bits(fluid.nonlinear_term(C64, BOX64, h),
+                     reference_forced(C64, BOX64, h))
+    scratch = fluid._owned.rhs
+    assert len(scratch[2]) == 9
+    assert_same_bits(fluid.nonlinear_term(C64, BOX64),
+                     reference_nonlinear(C64, BOX64))
+    assert fluid._owned.rhs is scratch
 
 
 def test_lane_count_is_capped(usable_cpus):
@@ -432,9 +466,9 @@ def test_lane_buffers_follow_the_grid(usable_cpus, monkeypatch):
     assert_same_bits(fluid.nonlinear_term(c72, big), serial[1])
 
 
-def old_if_heun(c0, dt, nu, grid, g0, g_of):
+def old_if_heun(c0, dt, nu, box, g0, g_of):
     # the three-line formula the row jobs replaced
-    decay = fluid._viscous_decay(grid.box, nu, dt)
+    decay = fluid._viscous_decay(box, nu, dt)
     c_star = decay * (c0 + dt * g0)
     g1, extra = g_of(c_star)
     return decay * (c0 + 0.5 * dt * g0) + 0.5 * dt * g1, extra
@@ -455,15 +489,14 @@ def test_if_heun_rows_match_the_formula_bits(usable_cpus, monkeypatch, box,
     usable_cpus(lanes)
     c0, g0, g1 = (random_spectrum(box, s) for s in (41, 42, 43))
     kept = c0.copy(), g0.copy()
-    grid = wavenumbers(box)
     seen = []
 
     def g_of(c_star):
         seen.append(c_star.copy())
         return g1 * 0.5 + c_star, len(seen)
 
-    got = fluid.if_heun(c0, 0.03, 0.7, grid, g0, g_of)
-    want = old_if_heun(c0, 0.03, 0.7, grid, g0, g_of)
+    got = fluid.if_heun(c0, 0.03, 0.7, box, g0, g_of)
+    want = old_if_heun(c0, 0.03, 0.7, box, g0, g_of)
     assert got[1] == 1 and want[1] == 2
     assert_same_bits(seen[0], seen[1])
     assert_same_bits(got[0], want[0])
@@ -513,9 +546,9 @@ def nonlinear_call():
 
 
 def ns_step_call():
-    h_hat = np.zeros_like(C64)
-    return (lambda: fluid.ns_step(C64, BOX64, 0.7, 1e-2, h_hat),
-            reference_ns_step(C64, BOX64, 0.7, 1e-2, h_hat))
+    h = np.zeros((3,) + BOX64.shape)
+    return (lambda: fluid.ns_step(C64, BOX64, 0.7, 1e-2, h),
+            reference_ns_step(C64, BOX64, 0.7, 1e-2, h))
 
 
 @pytest.mark.parametrize("name, when, call", [
