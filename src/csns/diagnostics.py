@@ -88,11 +88,6 @@ def alignment_gap(state, u_phys=None, stencil=None):
     return float(np.sum(ens.w * np.sum(diff * diff, axis=1)))
 
 
-def b_field_sup(m):
-    """Grid sup of |b| (euclidean norm over components)."""
-    return float(np.sqrt(np.max(np.sum(m.b * m.b, axis=0))))
-
-
 def trapezoid(h, f_prev, f_now):
     """Trapezoid-rule integral of f over a step of length h."""
     return 0.5 * h * (f_prev + f_now)
@@ -182,13 +177,6 @@ def fs_residual(t, e, dedt, lowfreq, c_sq):
     """
     denom = t + c_sq
     return c_sq / denom * lowfreq - dedt - 3.0 * e / denom
-
-
-def time_weighted_drag(t, drag_rate):
-    """Cumulative trapezoid of (1+t)^{17/16} * drag_rate; starts at zero."""
-    t = np.asarray(t, dtype=float)
-    return cumulative_trapezoid(
-        t, (1.0 + t) ** TW_EXPONENT * np.asarray(drag_rate, dtype=float))
 
 
 def r_bound_check(t, r, b_inf, u_inf, e_kinetic):
@@ -296,7 +284,7 @@ class SeriesRecorder:
             m = state.moments
             stencil = m.stencil
             rho_l1, rho_l2, rho_linf = particles.density_lp_norms(m.rho, box)
-            b_inf = b_field_sup(m)
+            b_inf = fluid.max_speed(m.b)
         mom = total_momentum(state)
         r = splitting_radius(state.t, self.c_sq)
         row = {

@@ -72,11 +72,11 @@ class BoxSpec:
 @dataclass(frozen=True)
 class KernelSpec:
     """Interaction weight phi(r): 'constant' is phi = 1, 'inverse_power' is
-    phi(r) = (1 + r^2)^(-beta/2).  Both phi and phi' must stay within the unit cap."""
+    phi(r) = (1 + r^2)^(-beta/2).  Both phi and phi' must stay within the unit
+    cap, which is fixed at 1."""
 
     kind: str
     beta: float = 0.0
-    cap: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,6 @@ _KINDS = {
                   "dimension must be 2 or 3"),
     "grid": (lambda v, d: _is_int(v) and v >= 8 and v & (v - 1) == 0,
              "N must be even power of two (>= 8)"),
-    "cap": (lambda v, d: _is_real(v) and v == 1,
-            "unit cap is fixed at 1 in this version"),
     "courant": (lambda v, d: _is_real(v) and 0 < v <= 1,
                 "Courant factor must be a number in (0, 1]"),
     "seed": (lambda v, d: _is_int(v) and 0 <= v < 2**64,
@@ -204,7 +202,7 @@ _KINDS = {
 _FIELDS = (
     ("box.d", "dimension"), ("box.N", "grid"), ("box.L", "positive"),
     ("kernel.kind", "kernel"), ("kernel.beta", "nonnegative"),
-    ("kernel.cap", "cap"), ("viscosity", "positive"), ("dt", "positive"),
+    ("viscosity", "positive"), ("dt", "positive"),
     ("t_end", "nonnegative"), ("cfl", "courant"), ("adaptive", "flag"),
     ("coupling_enabled", "flag"), ("particle_count", "size"),
     ("r0", "positive"), ("seed", "seed"),
@@ -251,16 +249,22 @@ def validate_config(cfg):
     # rules across fields, each checked once the fields it reads are good
     fp, pp = "init_profile.fluid_params.", "init_profile.particle_params."
     box, r0 = cfg.box, good.get("r0", math.inf)
-    if {"kernel.kind", "kernel.beta", "kernel.cap"} <= good.keys():
+    if {"kernel.kind", "kernel.beta"} <= good.keys():
         smax = phi_slope_max(cfg.kernel)
         if smax > 1.0 + 1e-12:
             errors.append(("kernel.beta", "kernel slope exceeds the unit cap "
                            f"(max |phi'| = {smax:.4f})"))
-    if {"box.d", "box.L"} <= good.keys():
+    if {"box.d", "box.N", "box.L"} <= good.keys():
+        # (L*N)**d bounds the Parseval sums of broadband_field, and
+        # d*(pi*N/L)**2 is the largest |xi|^2 on the grid
         try:
-            float(box.L) ** d
+            finite = all(map(math.isfinite, (
+                float(box.L * box.N) ** d, d * (math.pi * box.N / box.L)**2)))
         except OverflowError:
-            errors.append(("box.L", f"the box volume L**{d} overflows"))
+            finite = False
+        if not finite:
+            errors.append(("box.L", f"(L*N)**{d} and {d}*(pi*N/L)**2 must "
+                           "both be finite floats"))
     if init.fluid == "taylor_green" and (
             d != 2 or not _is_real(box.L) or abs(box.L - TWO_PI) > 1e-12):
         errors.append(("init_profile.fluid",
@@ -299,14 +303,12 @@ def full_order_indices(N):
 class WavenumberGrid:
     """Wavenumber tables on the half-spectrum (rfft) layout.
 
-    axis_indices hold the full per-axis transform order; the broadcastable xi
-    arrays, |xi|^2 table, Parseval multiplicities, and the 2/3 dealias mask all
-    live on the (N, ..., N//2+1) layout.
+    The xi arrays broadcast against the (N, ..., N//2+1) layout, as do the
+    Parseval multiplicities, a row along the last axis; the |xi|^2 table and
+    the 2/3 dealias mask fill it.
     """
 
     box: BoxSpec
-    axis_indices: tuple
-    axis_xi: tuple
     xi: tuple
     xi_sq: np.ndarray
     inv_xi_sq: np.ndarray
@@ -322,16 +324,13 @@ def wavenumbers(box):
     """
     d, N = box.d, box.N
     scale = TWO_PI / box.L
-    full = full_order_indices(N)
     half = np.arange(N // 2 + 1)
-    per_axis_idx = tuple([full.copy() for _ in range(d - 1)] + [half])
-    per_axis_xi = tuple(scale * idx for idx in per_axis_idx)
-
-    xi = []
-    for a in range(d):
+    xi, mask = [], np.ones(box.spectral_shape, dtype=bool)
+    for a, idx in enumerate([full_order_indices(N)] * (d - 1) + [half]):
         shape = [1] * d
-        shape[a] = len(per_axis_idx[a])
-        xi.append(per_axis_xi[a].astype(float).reshape(shape))
+        shape[a] = len(idx)
+        xi.append((scale * idx).reshape(shape))
+        mask &= (np.abs(idx) <= N // 3).reshape(shape)
     xi = tuple(xi)
 
     xi_sq = np.zeros(box.spectral_shape)
@@ -343,16 +342,8 @@ def wavenumbers(box):
 
     weight = np.ones(N // 2 + 1)
     weight[1:N // 2] = 2.0  # interior last-axis modes stand for a conjugate pair
-    weight = weight.reshape((1,) * (d - 1) + (N // 2 + 1,)) * np.ones(box.spectral_shape)
+    weight = weight.reshape((1,) * (d - 1) + (N // 2 + 1,))
 
-    cut = N // 3
-    mask = np.ones(box.spectral_shape, dtype=bool)
-    for a in range(d):
-        shape = [1] * d
-        shape[a] = len(per_axis_idx[a])
-        mask &= (np.abs(per_axis_idx[a]) <= cut).reshape(shape)
-
-    for arr in (*per_axis_idx, *per_axis_xi, *xi, xi_sq, inv, weight, mask):
+    for arr in (*xi, xi_sq, inv, weight, mask):
         arr.setflags(write=False)
-    return WavenumberGrid(box, per_axis_idx, per_axis_xi, xi, xi_sq, inv,
-                          weight, mask)
+    return WavenumberGrid(box, xi, xi_sq, inv, weight, mask)

@@ -58,6 +58,11 @@ def config_from_data(data):
     # determinism_mode was a flag that changed nothing; old configs and
     # checkpoints still carry it
     top.pop("determinism_mode", None)
+    # and kernel.cap, which could only be the number 1
+    kernel = top.get("kernel")
+    if (isinstance(kernel, dict) and not isinstance(kernel.get("cap"), bool)
+            and kernel.get("cap") == 1):
+        top["kernel"] = {k: v for k, v in kernel.items() if k != "cap"}
     built = {}
     for key, cls in (("box", BoxSpec), ("kernel", KernelSpec),
                      ("init_profile", InitSpec), ("output", OutputSpec)):

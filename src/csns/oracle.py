@@ -86,17 +86,17 @@ def heat_decay_reference(c0, box, t, nu=1.0):
     return per_mode, float(per_mode.sum())
 
 
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 def flat_spectrum_energy(t, xi_cut, nu=1.0):
     """Continuum heat-kernel energy for data flat on the ball |xi| <= xi_cut,
     up to a constant factor: integral of xi^2 e^{-2 nu t xi^2} over [0, xi_cut]."""
-    # imported here: scipy.special is slow to import and only this uses it
-    from scipy.special import erf
-
     t = np.asarray(t, dtype=float)
     a = 2.0 * nu * t
     x = xi_cut * np.sqrt(a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = (0.25 * math.sqrt(math.pi) * erf(x)
+        val = (0.25 * math.sqrt(math.pi) * _erf(x)
                - 0.5 * x * np.exp(-x * x)) / a**1.5
     out = np.where(a > 0, val, xi_cut**3 / 3.0)
     return float(out) if out.ndim == 0 else out

@@ -135,14 +135,29 @@ def test_broadband_cut_below_the_lowest_mode_exits_2(tmp_path, capsys):
 
 
 def test_box_volume_overflow_exits_2(tmp_path, capsys):
-    # L**2 is past the largest float, so the volume cannot be formed
-    config_path, _ = write_config(
-        tmp_path, box=BoxSpec(d=2, L=1e300, N=8),
-        init_profile=InitSpec(fluid="broadband",
-                              fluid_params={"xi_cut": 1.0, "u_rms": 0.3},
-                              particles="gaussian"))
+    # at 1e300 L**2 itself overflows; (L*N)**2 bounds the broadband Parseval
+    # sum (at 1e154 it overflowed to a zero field and a false PASS), and
+    # 2*(pi*N/L)**2 is the largest |xi|^2
+    for L, xi_cut in [(1e300, 1.0), (1e154, 1.0), (1e-300, 1e301)]:
+        case = tmp_path / repr(L)
+        case.mkdir()
+        config_path, _ = write_config(
+            case, box=BoxSpec(d=2, L=L, N=8),
+            init_profile=InitSpec(fluid="broadband",
+                                  fluid_params={"xi_cut": xi_cut,
+                                                "u_rms": 0.3},
+                                  particles="gaussian"))
+        assert cli.main(["run", str(config_path)]) == 2, L
+        assert "config error at box.L: " in capsys.readouterr().err
+        assert not (case / "out").exists()
+
+
+@pytest.mark.parametrize("cap", [2.0, True])
+def test_kernel_cap_other_than_one_exits_2(tmp_path, capsys, cap):
+    config_path, _ = write_config(tmp_path)
+    write_data_with(config_path, [("kernel.cap", cap)])
     assert cli.main(["run", str(config_path)]) == 2
-    assert "config error at box.L: " in capsys.readouterr().err
+    assert "config error at kernel.cap: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -174,6 +189,26 @@ def test_resume_via_cli_matches_uninterrupted(tmp_path):
     part = driver.run(cfg_split, stop_after_steps=17)
     assert part.interrupted
     assert cli.main(["run", "--resume", str(part.checkpoint_paths[-1])]) == 0
+    assert (tmp_path / "full" / "series.csv").read_bytes() \
+        == (tmp_path / "split" / "series.csv").read_bytes()
+
+
+def test_resume_from_checkpoint_with_unit_cap(tmp_path):
+    # a checkpoint whose stored config carries "cap": 1.0, as written before
+    # the key was retired, resumes to the uninterrupted series
+    _, cfg_full = write_config(tmp_path, output=OutputSpec(
+        dir=str(tmp_path / "full"), series="series.csv", series_every_steps=4))
+    driver.run(cfg_full)
+    _, cfg_split = write_config(tmp_path, output=OutputSpec(
+        dir=str(tmp_path / "split"), series="series.csv", series_every_steps=4))
+    checkpoint = driver.run(cfg_split, stop_after_steps=9).checkpoint_paths[-1]
+    with np.load(checkpoint) as npz:
+        arrays = dict(npz)
+    stored = json.loads(str(arrays["config_json"]))
+    stored["kernel"]["cap"] = 1.0
+    arrays["config_json"] = json.dumps(stored, indent=2, sort_keys=True)
+    np.savez(checkpoint, **arrays)
+    assert cli.main(["run", "--resume", str(checkpoint)]) == 0
     assert (tmp_path / "full" / "series.csv").read_bytes() \
         == (tmp_path / "split" / "series.csv").read_bytes()
 
@@ -356,6 +391,17 @@ def test_oracle_check_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 7
     assert "FAIL" not in out
+
+
+def test_oracle_check_runs_without_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.modules['scipy'] = None; from csns import cli; "
+            "sys.exit(cli.main(['oracle-check']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert "FAIL" not in out.stdout
 
 
 def test_usage_error_exits_2():

@@ -107,7 +107,7 @@ def test_dissipation_without_particles():
 def test_b_field_sup():
     m = SimpleNamespace(b=np.stack([np.full((4, 4), 3.0),
                                     np.full((4, 4), 4.0)]))
-    assert diagnostics.b_field_sup(m) == pytest.approx(5.0)
+    assert fluid.max_speed(m.b) == pytest.approx(5.0)
 
 
 def test_ledger_trapezoid_and_residual():
@@ -168,22 +168,6 @@ def test_fs_residual_arithmetic():
     val = diagnostics.fs_residual(t=2.0, e=3.0, dedt=-1.0, lowfreq=4.0,
                                   c_sq=6.0)
     assert val == pytest.approx(6.0 / 8.0 * 4.0 + 1.0 - 9.0 / 8.0)
-
-
-def test_time_weighted_drag_unit_rate():
-    t = np.linspace(0.0, 1.0, 100001)
-    cum = diagnostics.time_weighted_drag(t, np.ones_like(t))
-    expected = (2.0 ** (33.0 / 16.0) - 1.0) / (33.0 / 16.0)
-    assert expected == pytest.approx(1.5404098, abs=1e-6)
-    assert cum[0] == 0.0
-    assert cum[-1] == pytest.approx(expected, abs=1e-9)
-    assert np.all(np.diff(cum) >= 0.0)
-
-
-def test_time_weighted_drag_empty_and_single():
-    assert diagnostics.time_weighted_drag(np.zeros(0), np.zeros(0)).size == 0
-    single = diagnostics.time_weighted_drag([0.5], [3.0])
-    assert single.tolist() == [0.0]
 
 
 def test_r_bound_margins_on_conforming_series():
@@ -266,7 +250,8 @@ def good_table(n=40, d=2):
     data["fs_residual"] = 0.1
     data["fs_residual"][0] = np.nan
     data["alignment_gap"] = 0.2 * e
-    data["tw_drag_cum"] = diagnostics.time_weighted_drag(t, data["drag_rate"])
+    data["tw_drag_cum"] = diagnostics.cumulative_trapezoid(
+        t, (1.0 + t) ** diagnostics.TW_EXPONENT * data["drag_rate"])
     return data
 
 

@@ -351,6 +351,17 @@ def test_run_series_passes_verification(tmp_path):
     assert res.max_energy_step_increase <= 1e-10
 
 
+def test_weighted_drag_column_is_the_trapezoid_of_its_rows(tmp_path):
+    # the recorder's running sum adds the same trapezoids in the same order
+    res = driver.run(coupled_config(tmp_path, t_end=0.1))
+    data = io.read_timeseries(res.series_path)
+    t = data["t"]
+    expected = diagnostics.cumulative_trapezoid(
+        t, (1.0 + t) ** diagnostics.TW_EXPONENT * data["drag_rate"])
+    assert expected[-1] > 0.0
+    assert np.array_equal(data["tw_drag_cum"], expected)
+
+
 def physical_energy(state):
     u = state.u.values()
     return 0.5 * float(np.sum(u * u)) * state.u.box.dx ** state.u.box.d

@@ -306,7 +306,6 @@ def test_retained_block_is_the_dealias_mask(box):
 @pytest.mark.parametrize("table", [
     lambda: wavenumbers(BOX2).xi_sq,
     lambda: wavenumbers(BOX2).xi[0],
-    lambda: wavenumbers(BOX2).axis_xi[1],
     lambda: wavenumbers(BOX2).dealias,
     lambda: wavenumbers(BOX2).parseval_weight,
     lambda: fluid.retained_block(BOX3).inv_xi_sq,
@@ -314,7 +313,7 @@ def test_retained_block_is_the_dealias_mask(box):
     lambda: fluid.retained_block(BOX3).rows,
     lambda: fluid._viscous_decay(BOX2, 1.0, 1e-3),
     lambda: particles.kernel_hat(KernelSpec("inverse_power", 2.0), BOX2),
-], ids=["xi_sq", "xi", "axis_xi", "dealias", "parseval_weight",
+], ids=["xi_sq", "xi", "dealias", "parseval_weight",
         "block_inv_xi_sq", "block_xi", "block_rows", "decay", "kernel_hat"])
 def test_cached_tables_are_read_only(table):
     arr = table()

@@ -58,6 +58,17 @@ def test_config_accepts_retired_determinism_mode():
     assert io.config_from_data(data) == sample_config()
 
 
+def test_config_accepts_retired_unit_cap():
+    # kernel.cap could only be 1; configs and checkpoints written before its
+    # removal carry "cap": 1.0, which loads and is not written back
+    data = json.loads(io.serialize_config(sample_config()))
+    data["kernel"]["cap"] = 1.0
+    cfg = io.config_from_data(data)
+    assert cfg == sample_config()
+    assert "cap" not in json.loads(io.serialize_config(cfg))["kernel"]
+    assert data["kernel"]["cap"] == 1.0
+
+
 def test_unknown_top_level_key_is_named():
     data = {"box": {"d": 2, "L": 2.0 * math.pi, "N": 16},
             "dt": 1e-3, "t_end": 1.0, "visocity": 0.5}

@@ -11,8 +11,8 @@ from csns import fluid, oracle
 
 
 def test_import_leaves_out_scipy_special():
-    # scipy.special is slow to import; only flat_spectrum_energy needs it.
-    # scipy.fft would load it too, and the transforms are numpy's.
+    # csns needs no scipy: scipy.special is slow to import, and scipy.fft
+    # would load it too, while the transforms are numpy's.
     code = ("import sys, csns; "
             "print('scipy.special' in sys.modules, 'scipy.fft' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
