@@ -8,7 +8,7 @@ so a failing check names exactly one violated estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,8 +32,7 @@ def energy(state):
     """(E, E_fluid, E_kinetic)."""
     e_fluid = fluid.kinetic_energy(state.u.c, state.u.box)
     ens = state.ens
-    e_kin = 0.5 * float(np.sum(ens.w * np.sum(ens.V * ens.V, axis=1))) \
-        if ens.n else 0.0
+    e_kin = 0.5 * float(np.sum(ens.w * np.sum(ens.V * ens.V, axis=1)))
     return e_fluid + e_kin, e_fluid, e_kin
 
 
@@ -43,22 +42,21 @@ def total_momentum(state):
         + particles.particle_momentum(state.ens)
 
 
-def dissipation_terms(state, nu=1.0, u_phys=None):
-    """(grad_rate, drag_rate, align_rate) for the energy balance.
+def dissipation_terms(state, nu, u_phys):
+    """(grad_rate, drag_rate, align_rate, alignment_gap) of the energy balance.
 
     The drag channel interpolates |u|^2 separately from u, which is exactly
     the rate the semi-discrete system dissipates through the exchange term;
-    it dominates the plain gap by the stencil's Jensen defect.  align_rate is
+    it dominates the alignment gap, the relative kinetic energy
+    sum w_i |V_i - u(X_i)|^2, by the stencil's Jensen defect.  align_rate is
     the raw double sum (the ledger halves it).  Every read uses the stencil
-    the moments were deposited with.
+    the moments were deposited with, and u is read at the particles once.
     """
     box = state.u.box
     grad = fluid.dissipation_rate(state.u.c, box, nu)
     ens = state.ens
     if ens.n == 0:
-        return grad, 0.0, 0.0
-    if u_phys is None:
-        u_phys = state.u.values()
+        return grad, 0.0, 0.0, 0.0
     m = state.moments
     stencil = m.stencil
     u_at = particles.interpolate_velocity(u_phys, ens.X, box, stencil)
@@ -73,19 +71,9 @@ def dissipation_terms(state, nu=1.0, u_phys=None):
     align = float(np.sum(ens.w * (a_at * vsq
                                   - 2.0 * np.sum(b_at * ens.V, axis=1)
                                   + ce_at)))
-    return grad, drag, align
-
-
-def alignment_gap(state, u_phys=None, stencil=None):
-    """Relative kinetic energy sum w_i |V_i - u(X_i)|^2."""
-    ens = state.ens
-    if ens.n == 0:
-        return 0.0
-    if u_phys is None:
-        u_phys = state.u.values()
-    u_at = particles.interpolate_velocity(u_phys, ens.X, state.u.box, stencil)
     diff = ens.V - u_at
-    return float(np.sum(ens.w * np.sum(diff * diff, axis=1)))
+    gap = float(np.sum(ens.w * np.sum(diff * diff, axis=1)))
+    return grad, drag, align, gap
 
 
 def trapezoid(h, f_prev, f_now):
@@ -134,15 +122,6 @@ class EnergyLedger:
         self.t = t
         self.e = e
         self.last_grad, self.last_drag, self.last_align = grad, drag, align
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in
-                ("e0", "e", "t", "cum_grad", "cum_drag", "cum_align",
-                 "last_grad", "last_drag", "last_align")}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def energy_identity_residual(ledger):
@@ -244,11 +223,14 @@ def fit_decay_exponent(t, e, t_min, t_max, box_length=None, nu=1.0):
 
 
 class SeriesRecorder:
-    """Builds one diagnostics row per output step.
+    """Builds the diagnostics rows, one per output step.
 
     Owns the energy ledger and the weighted-drag accumulator, so rows carry
-    running integrals consistent with the output cadence.  fs_residual is
-    left NaN here; the series writer fills it once neighbouring rows exist.
+    running integrals consistent with the output cadence.  fs_residual needs
+    the energy derivative, so each row is held until the three-row stencil
+    around it is complete: interior rows get the centered derivative, the
+    first and last rows one-sided ones.  A series of fewer than three rows
+    keeps fs_residual NaN.
     """
 
     def __init__(self, nu, c_sq):
@@ -257,14 +239,44 @@ class SeriesRecorder:
         self.ledger = None
         self.tw_cum = 0.0
         self._tw_last = None
+        self._pending = []
+        self._window = []
 
-    def record(self, state, energies=None):
-        """The row of state; energies is its energy(state) triple when the
-        caller has it already."""
+    def record(self, state, energies):
+        """The rows finished by the row of state, whose energy(state) triple
+        is energies: none, one, or two when the (t, E) window first fills."""
+        self._pending.append(self._row(state, energies))
+        self._window.append((float(state.t), float(energies[0])))
+        if len(self._window) > 3:
+            self._window.pop(0)
+        if len(self._window) < 3:
+            return []
+        if len(self._pending) == 3:
+            return [self._finished(0), self._finished(1)]
+        return [self._finished(1)]
+
+    def finish(self):
+        """The rows still held; the last gets the one-sided end stencil."""
+        if len(self._window) < 3:
+            rows, self._pending = self._pending, []
+            return rows
+        return [self._finished(2)]
+
+    def _finished(self, stencil_index):
+        """The oldest held row, with the fs_residual of its stencil place."""
+        row = self._pending.pop(0)
+        ts = [w[0] for w in self._window]
+        es = [w[1] for w in self._window]
+        dedt = lagrange_derivative(ts, es, ts[stencil_index])
+        row["fs_residual"] = fs_residual(row["t"], row["E"], dedt,
+                                         row["lowfreq_energy"], self.c_sq)
+        return row
+
+    def _row(self, state, energies):
         box = state.u.box
         u_phys = state.u.values()
-        e, e_fluid, e_kin = energy(state) if energies is None else energies
-        grad, drag, align = dissipation_terms(state, self.nu, u_phys=u_phys)
+        e, e_fluid, e_kin = energies
+        grad, drag, align, gap = dissipation_terms(state, self.nu, u_phys)
         if self.ledger is None:
             self.ledger = EnergyLedger.start(e, state.t, grad, drag, align)
         else:
@@ -277,12 +289,9 @@ class SeriesRecorder:
         self._tw_last = (state.t, tw_g)
 
         # an empty ensemble has no moments, and its densities are zero
-        stencil = None
         rho_l1 = rho_l2 = rho_linf = b_inf = 0.0
         if state.ens.n:
-            # the moments' stencil serves every particle read of the row
             m = state.moments
-            stencil = m.stencil
             rho_l1, rho_l2, rho_linf = particles.density_lp_norms(m.rho, box)
             b_inf = fluid.max_speed(m.b)
         mom = total_momentum(state)
@@ -306,8 +315,7 @@ class SeriesRecorder:
             "momentum_y": mom[1],
             "lowfreq_energy": fluid.low_freq_energy(state.u.c, box, r),
             "fs_residual": float("nan"),
-            "alignment_gap": alignment_gap(state, u_phys=u_phys,
-                                           stencil=stencil),
+            "alignment_gap": gap,
             "tw_drag_cum": self.tw_cum,
         }
         if box.d == 3:
@@ -318,18 +326,25 @@ class SeriesRecorder:
         return {
             "nu": self.nu,
             "c_sq": self.c_sq,
-            "ledger": None if self.ledger is None else self.ledger.to_dict(),
+            "ledger": None if self.ledger is None else asdict(self.ledger),
             "tw_cum": self.tw_cum,
             "tw_last": list(self._tw_last) if self._tw_last else None,
+            "pending": self._pending,
+            "window": [list(w) for w in self._window],
         }
 
     @classmethod
-    def from_state_dict(cls, d):
+    def from_state_dict(cls, d, writer_state):
+        """The recorder of a checkpoint; checkpoints written before the
+        recorder held the rows keep them in writer_state."""
         rec = cls(d["nu"], d["c_sq"])
         if d["ledger"] is not None:
-            rec.ledger = EnergyLedger.from_dict(d["ledger"])
+            rec.ledger = EnergyLedger(**d["ledger"])
         rec.tw_cum = d["tw_cum"]
         rec._tw_last = tuple(d["tw_last"]) if d["tw_last"] else None
+        held = d if "pending" in d else writer_state
+        rec._pending = [dict(r) for r in held["pending"]]
+        rec._window = [tuple(w) for w in held["window"]]
         return rec
 
 

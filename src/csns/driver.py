@@ -142,9 +142,12 @@ def run(cfg, stop_after_steps=None):
     c_sq = 3.0 * (1.0 + rho_sup)
     recorder = diagnostics.SeriesRecorder(cfg.viscosity, c_sq)
     writer = io.TimeseriesWriter(outdir / cfg.output.series,
-                                 diagnostics.csv_columns(cfg.box.d), c_sq)
-    writer.add_row(recorder.record(state))
-    return _advance(cfg, state, recorder, writer, stop_after_steps)
+                                 diagnostics.csv_columns(cfg.box.d))
+    energies = diagnostics.energy(state)
+    for row in recorder.record(state, energies):
+        writer.add_row(row)
+    return _advance(cfg, state, recorder, writer, stop_after_steps,
+                    energies[0])
 
 
 def resume_run(checkpoint_path, stop_after_steps=None):
@@ -157,12 +160,13 @@ def resume_run(checkpoint_path, stop_after_steps=None):
                      particles.ParticleEnsemble(saved["X"], saved["V"],
                                                 saved["w"]))
     recorder = diagnostics.SeriesRecorder.from_state_dict(
-        saved["recorder_state"])
+        saved["recorder_state"], saved["writer_state"])
     outdir = Path(cfg.output.dir)
     writer = io.TimeseriesWriter.restore(outdir / cfg.output.series,
                                          diagnostics.csv_columns(cfg.box.d),
-                                         saved["writer_state"])
-    return _advance(cfg, state, recorder, writer, stop_after_steps)
+                                         saved["writer_state"]["n_written"])
+    return _advance(cfg, state, recorder, writer, stop_after_steps,
+                    diagnostics.energy(state)[0])
 
 
 def _unstable(state, good, dt, box, e_fluid, e_kin, series, checkpoints):
@@ -181,23 +185,25 @@ def _unstable(state, good, dt, box, e_fluid, e_kin, series, checkpoints):
         f"{series}{where}", quantity, state.step_index, cfl, checkpoint)
 
 
-def _advance(cfg, state, recorder, writer, stop_after_steps):
+def _advance(cfg, state, recorder, writer, stop_after_steps, prev_e):
+    """Step from state to t_end; prev_e is the energy of state."""
     outdir = Path(cfg.output.dir)
     out = cfg.output
     snapshots = []
     checkpoints = []
     e0 = recorder.ledger.e0
-    prev_e = diagnostics.energy(state)[0]
     max_rise = 0.0
     n_steps = 0
     t_tol = 1e-12 * max(1.0, abs(cfg.t_end))
 
+    def due(every):
+        return every > 0 and state.step_index % every == 0
+
     def checkpoint_now():
         path = outdir / f"checkpoint_{state.step_index:08d}.npz"
         io.write_checkpoint(path, cfg, state, recorder.state_dict(),
-                            writer.state_dict())
+                            writer.n_written)
         checkpoints.append(path)
-        return path
 
     while state.t < cfg.t_end - t_tol:
         dt = cfg.dt
@@ -209,7 +215,7 @@ def _advance(cfg, state, recorder, writer, stop_after_steps):
 
         energies = e_now, e_fluid, e_kin = diagnostics.energy(state)
         if not np.isfinite(e_now):
-            writer.suspend()
+            writer.close()
             raise _unstable(state, good, dt, cfg.box, e_fluid, e_kin,
                             writer.path, checkpoints)
         del good
@@ -217,29 +223,28 @@ def _advance(cfg, state, recorder, writer, stop_after_steps):
         prev_e = e_now
 
         final = state.t >= cfg.t_end - t_tol
-        cadence = out.series_every_steps > 0 \
-            and state.step_index % out.series_every_steps == 0
-        if cadence or final:
+        checkpoint_due = due(out.checkpoint_every_steps)
+        if due(out.series_every_steps) or final:
             ensure_moments(state, cfg.kernel, cfg.box)
-            writer.add_row(recorder.record(state, energies))
-        if out.snapshot_every_steps > 0 \
-                and state.step_index % out.snapshot_every_steps == 0:
+            for row in recorder.record(state, energies):
+                writer.add_row(row)
+        if due(out.snapshot_every_steps):
             path = outdir / f"snapshot_{state.step_index:08d}.csns"
             io.write_snapshot(path, cfg.box, state.t, state.u.values(),
                               state.ens.X, state.ens.V, state.ens.w)
             snapshots.append(path)
-        if out.checkpoint_every_steps > 0 \
-                and state.step_index % out.checkpoint_every_steps == 0:
+        if checkpoint_due:
             checkpoint_now()
         if stop_after_steps is not None and n_steps >= stop_after_steps \
-                and state.t < cfg.t_end - t_tol:
-            if not checkpoints or not checkpoints[-1].name.endswith(
-                    f"{state.step_index:08d}.npz"):
+                and not final:
+            if not checkpoint_due:
                 checkpoint_now()
-            writer.suspend()
+            writer.close()
             return RunResult(state, writer.path, snapshots, checkpoints,
                              e0, n_steps, max_rise, interrupted=True)
 
+    for row in recorder.finish():
+        writer.add_row(row)
     writer.close()
     return RunResult(state, writer.path, snapshots, checkpoints,
                      e0, n_steps, max_rise, interrupted=False)

@@ -40,10 +40,6 @@ class VelocityField:
     box: BoxSpec
     c: np.ndarray
 
-    @classmethod
-    def from_values(cls, box, u):
-        return cls(box, forward_transform(np.asarray(u, dtype=float), box))
-
     def values(self):
         return inverse_transform(self.c, self.box)
 
@@ -121,18 +117,16 @@ class RetainedBlock:
     """The modes the 2/3 rule keeps, one block of the half spectrum.
 
     The block is the same retained rows (0..N/3 and N-N/3..N-1) of each
-    leading axis and the first cols columns (0..N/3) of the last; index
-    picks it out of a (N, ..., N//2+1) array, and xi, inv_xi_sq are the
-    wavenumber tables restricted to it, i_xi the products 1j * xi.  runs
-    pairs the block slice and the
-    spectrum slice of each run of consecutive rows, and inner the block and
-    spectrum index tuples of the axes between the first and the last (one
-    empty pair in 2D), so the block is read and written by basic slices.
+    leading axis and the first cols columns (0..N/3) of the last.  xi,
+    inv_xi_sq are the wavenumber tables restricted to it, i_xi the products
+    1j * xi.  runs pairs the block slice and the spectrum slice of each run
+    of consecutive rows, and inner the block and spectrum index tuples of the
+    axes between the first and the last (one empty pair in 2D), so the block
+    is read and written by basic slices.
     """
 
     rows: np.ndarray
     cols: int
-    index: tuple
     xi: tuple
     i_xi: tuple
     inv_xi_sq: np.ndarray
@@ -148,7 +142,6 @@ def retained_block(box):
     per_axis = [np.flatnonzero(grid.dealias.any(
         axis=tuple(b for b in range(box.d) if b != a))) for a in range(box.d)]
     rows = per_axis[0]
-    index = np.ix_(*per_axis)
     xi = tuple(np.take(grid.xi[a], per_axis[a], axis=a) for a in range(box.d))
     ends = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1), len(rows)]
     runs = tuple((slice(lo, hi), slice(int(rows[lo]), int(rows[hi - 1]) + 1))
@@ -156,9 +149,9 @@ def retained_block(box):
     inner = (((), ()),) if box.d == 2 else tuple(
         ((b,), (s,)) for b, s in runs)
     i_xi = tuple(1j * x for x in xi)
-    block = RetainedBlock(rows, len(per_axis[-1]), index, xi, i_xi,
-                          grid.inv_xi_sq[index], runs, inner)
-    for arr in (rows, *index, *xi, *i_xi, block.inv_xi_sq):
+    block = RetainedBlock(rows, len(per_axis[-1]), xi, i_xi,
+                          grid.inv_xi_sq[np.ix_(*per_axis)], runs, inner)
+    for arr in (rows, *xi, *i_xi, block.inv_xi_sq):
         arr.setflags(write=False)
     return block
 

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics
 from .domain import (BoxSpec, ConfigError, InitSpec, KernelSpec, OutputSpec,
                      SimConfig, validate_config)
 
@@ -95,99 +94,41 @@ def serialize_config(cfg):
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
 
 
-def _format_row(row, columns):
-    return ",".join(repr(float(row[c])) for c in columns) + "\n"
-
-
 class TimeseriesWriter:
-    """Streams diagnostics rows to CSV.
+    """Appends diagnostics rows to a CSV, one flushed line per row."""
 
-    fs_residual needs the energy derivative, so each row is held until the
-    three-row stencil around it is complete: interior rows get the centered
-    derivative, the first and last rows one-sided ones.  close() drains the
-    tail; suspend() instead leaves the tail rows in the writer state so a
-    resumed run continues the file byte-for-byte.
-    """
-
-    def __init__(self, path, columns, c_sq, _append=False):
+    def __init__(self, path, columns, _append=False):
         self.path = Path(path)
         self.columns = list(columns)
-        self.c_sq = float(c_sq)
-        self._pending = []
-        self._window = []
-        self._n_written = 0
+        self.n_written = 0
         self._fh = open(self.path, "a" if _append else "w", newline="")
         if not _append:
             self._fh.write(",".join(self.columns) + "\n")
             self._fh.flush()
 
     def add_row(self, row):
-        self._pending.append(dict(row))
-        self._window.append((float(row["t"]), float(row["E"])))
-        if len(self._window) > 3:
-            self._window.pop(0)
-        if len(self._window) < 3:
-            return
-        if self._n_written == 0 and len(self._pending) == 3:
-            self._write(self._pending.pop(0), stencil_index=0)
-            self._write(self._pending.pop(0), stencil_index=1)
-        else:
-            self._write(self._pending.pop(0), stencil_index=1)
-
-    def _write(self, row, stencil_index=None):
-        if stencil_index is not None:
-            ts = [w[0] for w in self._window]
-            es = [w[1] for w in self._window]
-            dedt = diagnostics.lagrange_derivative(ts, es, ts[stencil_index])
-            row["fs_residual"] = diagnostics.fs_residual(
-                row["t"], row["E"], dedt, row["lowfreq_energy"], self.c_sq)
-        self._fh.write(_format_row(row, self.columns))
+        self._fh.write(",".join(repr(float(row[c])) for c in self.columns)
+                       + "\n")
         self._fh.flush()
-        self._n_written += 1
+        self.n_written += 1
 
     def close(self):
-        """Drain held rows (the last one gets the right one-sided stencil)."""
-        if self._fh is None:
-            return
-        while self._pending:
-            last = len(self._pending) == 1
-            row = self._pending.pop(0)
-            if len(self._window) == 3 and last:
-                self._write(row, stencil_index=2)
-            else:
-                self._write(row, stencil_index=None)
-        self._fh.close()
-        self._fh = None
-
-    def suspend(self):
-        """Stop writing without draining; capture the tail via state_dict."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
-    def state_dict(self):
-        return {
-            "n_written": self._n_written,
-            "window": [list(w) for w in self._window],
-            "pending": self._pending,
-            "c_sq": self.c_sq,
-        }
-
     @classmethod
-    def restore(cls, path, columns, state):
+    def restore(cls, path, columns, n_written):
         # drop any rows written after the checkpoint, so resuming from a
         # mid-run checkpoint reproduces the uninterrupted series exactly
-        keep = 1 + int(state["n_written"])
         with open(path, "r+", newline="") as fh:
-            for _ in range(keep):
+            for _ in range(1 + n_written):
                 if not fh.readline():
                     raise BadCheckpoint(
                         f"{path} holds fewer rows than its checkpoint")
             fh.truncate(fh.tell())
-        w = cls(path, columns, state["c_sq"], _append=True)
-        w._n_written = state["n_written"]
-        w._window = [tuple(x) for x in state["window"]]
-        w._pending = [dict(r) for r in state["pending"]]
+        w = cls(path, columns, _append=True)
+        w.n_written = n_written
         return w
 
 
@@ -302,8 +243,9 @@ def read_snapshot(path):
     return {"box": box, "t": float(t), "u": u, "X": X, "V": V, "w": w}
 
 
-def write_checkpoint(path, cfg, state, recorder_state, writer_state):
-    """Everything needed to continue a run bit-identically."""
+def write_checkpoint(path, cfg, state, recorder_state, n_written):
+    """Everything needed to continue a run bit-identically; n_written is the
+    number of series rows on disk."""
     # np.savez is given the open file: it appends .npz to a bare name
     _write_atomically(path, lambda fh: np.savez(
         fh,
@@ -314,7 +256,7 @@ def write_checkpoint(path, cfg, state, recorder_state, writer_state):
         c=state.u.c,
         X=state.ens.X, V=state.ens.V, w=state.ens.w,
         recorder_json=json.dumps(recorder_state),
-        writer_json=json.dumps(writer_state)))
+        writer_json=json.dumps({"n_written": n_written})))
 
 
 def read_checkpoint(path):

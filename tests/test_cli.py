@@ -213,6 +213,51 @@ def test_resume_from_checkpoint_with_unit_cap(tmp_path):
         == (tmp_path / "split" / "series.csv").read_bytes()
 
 
+def to_parent_layout(checkpoint):
+    """Rewrite a checkpoint into the layout written before the recorder held
+    the series rows, where writer_json carried them; returns how many rows
+    it holds."""
+    with np.load(checkpoint) as npz:
+        arrays = dict(npz)
+    recorder = json.loads(str(arrays["recorder_json"]))
+    n_written = json.loads(str(arrays["writer_json"]))["n_written"]
+    writer = {"n_written": n_written, "window": recorder.pop("window"),
+              "pending": recorder.pop("pending"), "c_sq": recorder["c_sq"]}
+    arrays["recorder_json"] = json.dumps(recorder)
+    arrays["writer_json"] = json.dumps(writer)
+    np.savez(checkpoint, **arrays)
+    return len(writer["pending"])
+
+
+def test_resume_from_parent_layout_checkpoint(tmp_path):
+    _, cfg_full = write_config(tmp_path, output=OutputSpec(
+        dir=str(tmp_path / "full"), series="series.csv", series_every_steps=4))
+    driver.run(cfg_full)
+    _, cfg_split = write_config(tmp_path, output=OutputSpec(
+        dir=str(tmp_path / "split"), series="series.csv", series_every_steps=4))
+    checkpoint = driver.run(cfg_split, stop_after_steps=9).checkpoint_paths[-1]
+    assert to_parent_layout(checkpoint) == 1
+    assert cli.main(["run", "--resume", str(checkpoint)]) == 0
+    assert (tmp_path / "full" / "series.csv").read_bytes() \
+        == (tmp_path / "split" / "series.csv").read_bytes()
+
+
+@pytest.mark.parametrize("t_end, held", [(0.001, 2), (0.002, 1)])
+def test_resume_from_parent_layout_checkpoint_with_held_rows(tmp_path, t_end,
+                                                             held):
+    # the run's last checkpoint, taken at t_end, holds the rows the series
+    # gets when the run finishes; a resume from it rewrites them
+    _, cfg = write_config(tmp_path, t_end=t_end, output=OutputSpec(
+        dir=str(tmp_path / "out"), series="series.csv",
+        series_every_steps=1, checkpoint_every_steps=1))
+    res = driver.run(cfg)
+    series = res.series_path.read_bytes()
+    checkpoint = res.checkpoint_paths[-1]
+    assert to_parent_layout(checkpoint) == held
+    assert cli.main(["run", "--resume", str(checkpoint)]) == 0
+    assert res.series_path.read_bytes() == series
+
+
 def split_run(tmp_path):
     """A run stopped after 10 of 20 steps, with its checkpoint."""
     _, cfg = write_config(tmp_path,

@@ -1,5 +1,7 @@
 """Checks for the per-row functionals, the energy ledger, and the fitters."""
 
+import dataclasses
+import json
 import math
 from types import SimpleNamespace
 
@@ -17,7 +19,7 @@ def make_state(box, u_values, X, V, w, kernel, t=0.0):
                                      np.asarray(w, float))
     m = particles.convolve_kernel(particles.deposit_moments(ens, box),
                                   kernel, box)
-    vf = fluid.VelocityField.from_values(box, u_values)
+    vf = fluid.VelocityField(box, fluid.forward_transform(u_values, box))
     return SimpleNamespace(t=t, u=vf, ens=ens, moments=m)
 
 
@@ -29,6 +31,18 @@ def two_particle_state(box, u_values=None):
                       V=[[0.3, -0.4], [-0.3, 0.4]],
                       w=[0.5, 0.5],
                       kernel=KernelSpec(kind="constant"))
+
+
+def one_row(state):
+    """The row of state, as the recorder of a one-row series finishes it."""
+    rec = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0)
+    assert rec.record(state, diagnostics.energy(state)) == []
+    [row] = rec.finish()
+    return row
+
+
+def row_terms(state, nu=1.0):
+    return diagnostics.dissipation_terms(state, nu, state.u.values())
 
 
 def test_csv_columns_2d():
@@ -62,7 +76,7 @@ def test_two_particle_alignment_rate():
     # opposite velocities, unit kernel: double sum is 2 |V0|^2 = 0.5
     box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
     state = two_particle_state(box)
-    grad, drag, align = diagnostics.dissipation_terms(state)
+    grad, drag, align, _ = row_terms(state)
     assert grad == 0.0
     assert drag == pytest.approx(0.25, abs=1e-14)
     assert align == pytest.approx(0.5, abs=1e-14)
@@ -71,7 +85,7 @@ def test_two_particle_alignment_rate():
 def test_alignment_gap_at_rest_fluid():
     box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
     state = two_particle_state(box)
-    gap = diagnostics.alignment_gap(state)
+    gap = row_terms(state)[3]
     e, _, e_kin = diagnostics.energy(state)
     assert gap == pytest.approx(2.0 * e_kin, abs=1e-14)
 
@@ -87,11 +101,11 @@ def test_flocked_state_dissipates_nothing():
                        V=np.tile(shared, (3, 1)),
                        w=[0.2, 0.5, 0.3],
                        kernel=KernelSpec(kind="inverse_power", beta=2.0))
-    grad, drag, align = diagnostics.dissipation_terms(state)
+    grad, drag, align, gap = row_terms(state)
     assert grad == pytest.approx(0.0, abs=1e-15)
     assert drag == pytest.approx(0.0, abs=1e-13)
     assert align == pytest.approx(0.0, abs=1e-13)
-    assert diagnostics.alignment_gap(state) == pytest.approx(0.0, abs=1e-13)
+    assert gap == pytest.approx(0.0, abs=1e-13)
 
 
 def test_dissipation_without_particles():
@@ -99,9 +113,9 @@ def test_dissipation_without_particles():
     u, _, _ = oracle.taylor_green(box)
     state = make_state(box, u, X=np.zeros((0, 2)), V=np.zeros((0, 2)),
                        w=np.zeros(0), kernel=KernelSpec(kind="constant"))
-    grad, drag, align = diagnostics.dissipation_terms(state, nu=0.5)
+    grad, drag, align, gap = row_terms(state, nu=0.5)
     assert grad == pytest.approx(2.0 * math.pi**2, rel=1e-12)
-    assert drag == 0.0 and align == 0.0
+    assert drag == 0.0 and align == 0.0 and gap == 0.0
 
 
 def test_b_field_sup():
@@ -136,7 +150,7 @@ def test_ledger_trapezoid_exact_for_linear_rates(g0, g1, h):
 def test_ledger_dict_round_trip():
     led = diagnostics.EnergyLedger.start(5.0, 0.0, 1.0, 2.0, 3.0)
     led.advance(0.5, 4.0, 1.1, 2.1, 3.1)
-    back = diagnostics.EnergyLedger.from_dict(led.to_dict())
+    back = diagnostics.EnergyLedger(**dataclasses.asdict(led))
     assert back == led
 
 
@@ -292,28 +306,29 @@ def test_verify_timeseries_single_row():
 def test_series_recorder_rows_and_resume():
     box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
     state = two_particle_state(box)
+    energies = diagnostics.energy(state)
     rec = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0)
-    row0 = rec.record(state)
+    assert rec.record(state, energies) == []
+    saved = json.loads(json.dumps(rec.state_dict()))
+    state.t = 0.5
+    assert rec.record(state, energies) == []
+    row0, row1 = rec.finish()
     assert set(row0) == set(diagnostics.csv_columns(2))
     assert row0["t"] == 0.0
     assert row0["ledger_residual"] == 0.0
     assert row0["tw_drag_cum"] == 0.0
     assert row0["E_kinetic"] == pytest.approx(0.125)
     assert row0["R"] == pytest.approx(0.5)
-    assert math.isnan(row0["fs_residual"])
-
-    saved = rec.state_dict()
-    state.t = 0.5
-    row1 = rec.record(state)
     # constant rates: residual picks up t*(grad + drag + align/2)
     assert row1["ledger_residual"] == pytest.approx(0.5 * (0.25 + 0.25))
     assert row1["tw_drag_cum"] > 0.0
 
-    other = diagnostics.SeriesRecorder.from_state_dict(saved)
-    row1_again = other.record(state)
-    assert math.isnan(row1_again.pop("fs_residual"))
-    assert math.isnan(row1.pop("fs_residual"))
-    assert row1_again == row1
+    other = diagnostics.SeriesRecorder.from_state_dict(saved, {})
+    assert other.record(state, energies) == []
+    row0_again, row1_again = other.finish()
+    for row in (row0, row1, row0_again, row1_again):
+        assert math.isnan(row.pop("fs_residual"))
+    assert (row0_again, row1_again) == (row0, row1)
 
 
 def test_series_recorder_builds_one_stencil(monkeypatch):
@@ -333,14 +348,33 @@ def test_series_recorder_builds_one_stencil(monkeypatch):
                        X=rng.uniform(0.0, box.L, (n, 2)),
                        V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
                        kernel=KernelSpec(kind="inverse_power", beta=2.0))
-    row = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0).record(state)
+    row = one_row(state)
     assert len(calls) == 1
-    # the same figures come out of the separate functionals
-    grad, drag, align = diagnostics.dissipation_terms(state, 1.0)
-    assert (row["grad_rate"], row["drag_rate"], row["align_rate"]) \
-        == (grad, drag, align)
-    assert row["alignment_gap"] == diagnostics.alignment_gap(state)
-    assert len(calls) == 2
+    # the same figures come out of the row's functional
+    assert (row["grad_rate"], row["drag_rate"], row["align_rate"],
+            row["alignment_gap"]) == row_terms(state)
+    assert len(calls) == 1
+
+
+def test_coupled_row_reads_the_velocity_at_the_particles_once(monkeypatch):
+    # the drag rate and the alignment gap share one interpolation of u
+    box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
+    rng = np.random.Generator(np.random.PCG64(23))
+    n = 40
+    state = make_state(box, 0.3 * rng.standard_normal((2,) + box.shape),
+                       X=rng.uniform(0.0, box.L, (n, 2)),
+                       V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
+                       kernel=KernelSpec(kind="inverse_power", beta=2.0))
+    calls = []
+    read = particles.interpolate_velocity
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(particles, "interpolate_velocity", counted)
+    one_row(state)
+    assert len(calls) == 1
 
 
 def test_align_rate_reads_the_energy_moment_of_a_full_deposit():
@@ -368,21 +402,22 @@ def test_align_rate_reads_the_energy_moment_of_a_full_deposit():
     eager = SimpleNamespace(t=state.t, u=state.u, ens=ens,
                             moments=SimpleNamespace(stencil=m.stencil, a=m.a,
                                                     b=m.b, c_e=ce_ref))
-    row = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0).record(state)
+    row = one_row(state)
     assert np.array_equal(m.e, e_ref)
     assert np.array_equal(m.c_e, ce_ref)
-    assert row["align_rate"] == diagnostics.dissipation_terms(eager)[2]
+    assert row["align_rate"] == row_terms(eager)[2]
 
 
 def test_particle_free_row_reads_zero_density():
     box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
     u, _, _ = oracle.taylor_green(box)
-    state = SimpleNamespace(t=0.0, u=fluid.VelocityField.from_values(box, u),
+    vf = fluid.VelocityField(box, fluid.forward_transform(u, box))
+    state = SimpleNamespace(t=0.0, u=vf,
                             ens=particles.ParticleEnsemble(
                                 np.zeros((0, 2)), np.zeros((0, 2)),
                                 np.zeros(0)),
                             moments=None)
-    row = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0).record(state)
+    row = one_row(state)
     for name in ("rho_l1", "rho_l2", "rho_linf", "b_inf", "drag_rate",
                  "align_rate", "alignment_gap"):
         assert math.copysign(1.0, row[name]) == 1.0 and row[name] == 0.0

@@ -214,7 +214,7 @@ def test_max_speed():
 
 def test_velocity_field_round_trip():
     u = random_field(BOX2, 5, 2)
-    vf = fluid.VelocityField.from_values(BOX2, u)
+    vf = fluid.VelocityField(BOX2, fluid.forward_transform(u, BOX2))
     assert np.max(np.abs(vf.values() - u)) < 1e-12
 
 
@@ -298,9 +298,10 @@ def test_retained_block_rhs_matches_full_grid_bits(box):
 def test_retained_block_is_the_dealias_mask(box):
     block = fluid.retained_block(box)
     mask = np.zeros(box.spectral_shape, dtype=bool)
-    mask[block.index] = True
+    index = np.ix_(*[block.rows] * (box.d - 1), np.arange(block.cols))
+    mask[index] = True
     assert np.array_equal(mask, wavenumbers(box).dealias)
-    assert block.inv_xi_sq.shape == mask[block.index].shape
+    assert block.inv_xi_sq.shape == mask[index].shape
 
 
 @pytest.mark.parametrize("table", [

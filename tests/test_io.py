@@ -5,11 +5,12 @@ import copy
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from csns import diagnostics, driver, io
+from csns import diagnostics, driver, fluid, io, oracle, particles
 from csns.domain import (BoxSpec, ConfigError, InitSpec, KernelSpec,
                          OutputSpec, SimConfig)
 
@@ -191,24 +192,40 @@ def test_config_fuzz_fails_cleanly_or_starts(variant, tmp_path,
     assert not faults, "\n".join(faults)
 
 
-def make_row(columns, t, e, lowfreq=1.0):
-    row = {c: 0.0 for c in columns}
-    row["t"] = t
-    row["E"] = e
-    row["lowfreq_energy"] = lowfreq
-    row["fs_residual"] = float("nan")
-    return row
+def particle_free_state(t):
+    box = BoxSpec(d=2, L=2.0 * math.pi, N=8)
+    u = oracle.taylor_green(box)[0]
+    return SimpleNamespace(
+        t=t, u=fluid.VelocityField(box, fluid.forward_transform(u, box)),
+        ens=particles.ParticleEnsemble(np.zeros((0, 2)), np.zeros((0, 2)),
+                                       np.zeros(0)),
+        moments=None)
 
 
-def test_writer_fills_fs_residual_with_correct_stencils(tmp_path):
+def record_rows(recorder, writer, ts, es):
+    """Record a row at each time with energy E = e, and write those the
+    recorder finishes."""
+    for t, e in zip(ts, es):
+        for row in recorder.record(particle_free_state(float(t)),
+                                   (float(e), float(e), 0.0)):
+            writer.add_row(row)
+
+
+def finish_rows(recorder, writer):
+    for row in recorder.finish():
+        writer.add_row(row)
+    writer.close()
+
+
+def test_recorder_fills_fs_residual_with_correct_stencils(tmp_path):
     cols = diagnostics.csv_columns(2)
     path = tmp_path / "s.csv"
-    w = io.TimeseriesWriter(path, cols, c_sq=6.0)
+    rec = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0)
+    w = io.TimeseriesWriter(path, cols)
     ts = [0.0, 0.1, 0.2, 0.3, 0.4]
     es = [math.exp(-t) for t in ts]
-    for t, e in zip(ts, es):
-        w.add_row(make_row(cols, t, e))
-    w.close()
+    record_rows(rec, w, ts, es)
+    finish_rows(rec, w)
     data = io.read_timeseries(path)
     assert data.shape == (5,)
     for k in range(5):
@@ -219,17 +236,18 @@ def test_writer_fills_fs_residual_with_correct_stencils(tmp_path):
             idx = [2, 3, 4]
         dedt = diagnostics.lagrange_derivative(
             [ts[i] for i in idx], [es[i] for i in idx], ts[k])
-        want = diagnostics.fs_residual(ts[k], es[k], dedt, 1.0, 6.0)
+        want = diagnostics.fs_residual(ts[k], es[k], dedt,
+                                       data["lowfreq_energy"][k], 6.0)
         assert data["fs_residual"][k] == pytest.approx(want, rel=1e-12)
 
 
-def test_writer_short_series_pads_nan(tmp_path):
+def test_recorder_short_series_pads_nan(tmp_path):
     cols = diagnostics.csv_columns(2)
     path = tmp_path / "short.csv"
-    w = io.TimeseriesWriter(path, cols, c_sq=6.0)
-    w.add_row(make_row(cols, 0.0, 1.0))
-    w.add_row(make_row(cols, 0.1, 0.9))
-    w.close()
+    rec = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0)
+    w = io.TimeseriesWriter(path, cols)
+    record_rows(rec, w, [0.0, 0.1], [1.0, 0.9])
+    finish_rows(rec, w)
     data = io.read_timeseries(path)
     assert np.all(np.isnan(data["fs_residual"]))
     assert data["t"].tolist() == [0.0, 0.1]
@@ -238,32 +256,32 @@ def test_writer_short_series_pads_nan(tmp_path):
 def test_writer_header_matches_columns(tmp_path):
     cols = diagnostics.csv_columns(3)
     path = tmp_path / "h.csv"
-    io.TimeseriesWriter(path, cols, c_sq=6.0).close()
+    io.TimeseriesWriter(path, cols).close()
     assert path.read_text() == ",".join(cols) + "\n"
 
 
-def test_writer_suspend_restore_byte_identical(tmp_path):
+def test_recorder_and_writer_close_restore_byte_identical(tmp_path):
     cols = diagnostics.csv_columns(2)
     ts = np.round(np.arange(10) * 0.1, 10)
     es = np.exp(-ts)
 
     full = tmp_path / "full.csv"
-    w = io.TimeseriesWriter(full, cols, c_sq=6.0)
-    for t, e in zip(ts, es):
-        w.add_row(make_row(cols, float(t), float(e)))
-    w.close()
+    rec = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0)
+    w = io.TimeseriesWriter(full, cols)
+    record_rows(rec, w, ts, es)
+    finish_rows(rec, w)
 
     split = tmp_path / "split.csv"
-    w1 = io.TimeseriesWriter(split, cols, c_sq=6.0)
-    for t, e in zip(ts[:6], es[:6]):
-        w1.add_row(make_row(cols, float(t), float(e)))
-    state = w1.state_dict()
-    w1.suspend()
-    w2 = io.TimeseriesWriter.restore(split, cols,
-                                     json.loads(json.dumps(state)))
-    for t, e in zip(ts[6:], es[6:]):
-        w2.add_row(make_row(cols, float(t), float(e)))
-    w2.close()
+    rec1 = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0)
+    w1 = io.TimeseriesWriter(split, cols)
+    record_rows(rec1, w1, ts[:6], es[:6])
+    state = json.loads(json.dumps(rec1.state_dict()))
+    w1.close()
+    rec2 = diagnostics.SeriesRecorder.from_state_dict(
+        state, {"n_written": w1.n_written})
+    w2 = io.TimeseriesWriter.restore(split, cols, w1.n_written)
+    record_rows(rec2, w2, ts[6:], es[6:])
+    finish_rows(rec2, w2)
 
     assert split.read_bytes() == full.read_bytes()
 
@@ -349,10 +367,6 @@ def test_snapshot_rejects_wrong_version(tmp_path):
 
 
 def test_checkpoint_round_trip(tmp_path):
-    from types import SimpleNamespace
-
-    from csns import fluid, particles
-
     cfg = sample_config(outdir=str(tmp_path))
     box = cfg.box
     rng = np.random.Generator(np.random.PCG64(2))
@@ -364,11 +378,9 @@ def test_checkpoint_round_trip(tmp_path):
     state = SimpleNamespace(t=0.75, step_index=750,
                             u=fluid.VelocityField(box, c), ens=ens)
     rec_state = {"nu": 0.7, "c_sq": 6.0, "ledger": None, "tw_cum": 0.0,
-                 "tw_last": None}
-    wr_state = {"n_written": 3, "window": [[0.0, 1.0]], "pending": [],
-                "c_sq": 6.0}
+                 "tw_last": None, "pending": [], "window": [[0.0, 1.0]]}
     path = tmp_path / "ck.npz"
-    io.write_checkpoint(path, cfg, state, rec_state, wr_state)
+    io.write_checkpoint(path, cfg, state, rec_state, 3)
     back = io.read_checkpoint(path)
     assert back["cfg"] == cfg
     assert back["t"] == 0.75
@@ -376,7 +388,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back["c"], c)
     assert np.array_equal(back["X"], ens.X)
     assert back["recorder_state"] == rec_state
-    assert back["writer_state"] == wr_state
+    assert back["writer_state"] == {"n_written": 3}
 
 
 class FailingWrite(RuntimeError):
@@ -401,10 +413,6 @@ def test_snapshot_write_failing_midway_leaves_no_file(tmp_path, monkeypatch):
 
 
 def resting_state(box, step_index, n):
-    from types import SimpleNamespace
-
-    from csns import fluid, particles
-
     return SimpleNamespace(
         t=1e-3 * step_index, step_index=step_index,
         u=fluid.VelocityField(box, np.zeros((2,) + box.spectral_shape,
@@ -418,7 +426,7 @@ def test_checkpoint_write_failing_midway_leaves_no_file(tmp_path,
     cfg = sample_config(outdir=str(tmp_path))
     state = resting_state(cfg.box, 500, 1)
     path = tmp_path / "checkpoint_00000500.npz"
-    io.write_checkpoint(path, cfg, state, {}, {})
+    io.write_checkpoint(path, cfg, state, {}, 0)
     good = path.read_bytes()
 
     def savez_fails_midway(fh, **arrays):
@@ -427,13 +435,13 @@ def test_checkpoint_write_failing_midway_leaves_no_file(tmp_path,
 
     monkeypatch.setattr(np, "savez", savez_fails_midway)
     with pytest.raises(FailingWrite):
-        io.write_checkpoint(path, cfg, state, {}, {})
+        io.write_checkpoint(path, cfg, state, {}, 0)
     # the earlier checkpoint under the name is kept whole; no temp is left
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     fresh = tmp_path / "checkpoint_00000600.npz"
     with pytest.raises(FailingWrite):
-        io.write_checkpoint(fresh, cfg, state, {}, {})
+        io.write_checkpoint(fresh, cfg, state, {}, 0)
     assert not fresh.exists()
     assert sorted(tmp_path.glob("checkpoint_*.npz")) == [path]
 
@@ -441,7 +449,7 @@ def test_checkpoint_write_failing_midway_leaves_no_file(tmp_path,
 def test_checkpoint_keeps_its_name(tmp_path):
     cfg = sample_config(outdir=str(tmp_path))
     path = tmp_path / "ck"
-    io.write_checkpoint(path, cfg, resting_state(cfg.box, 0, 0), {}, {})
+    io.write_checkpoint(path, cfg, resting_state(cfg.box, 0, 0), {}, 0)
     assert [p.name for p in tmp_path.iterdir()] == ["ck"]
     assert io.read_checkpoint(path)["step_index"] == 0
 
