@@ -334,17 +334,15 @@ class SeriesRecorder:
         }
 
     @classmethod
-    def from_state_dict(cls, d, writer_state):
-        """The recorder of a checkpoint; checkpoints written before the
-        recorder held the rows keep them in writer_state."""
+    def from_state_dict(cls, d):
+        """The recorder whose state_dict() was d."""
         rec = cls(d["nu"], d["c_sq"])
         if d["ledger"] is not None:
             rec.ledger = EnergyLedger(**d["ledger"])
         rec.tw_cum = d["tw_cum"]
         rec._tw_last = tuple(d["tw_last"]) if d["tw_last"] else None
-        held = d if "pending" in d else writer_state
-        rec._pending = [dict(r) for r in held["pending"]]
-        rec._window = [tuple(w) for w in held["window"]]
+        rec._pending = [dict(r) for r in d["pending"]]
+        rec._window = [tuple(w) for w in d["window"]]
         return rec
 
 

@@ -125,15 +125,13 @@ class RunResult:
     e0: float
     n_steps: int
     max_energy_step_increase: float
-    interrupted: bool
 
 
-def run(cfg, stop_after_steps=None):
+def run(cfg):
     """Integrate from the configured initial data to t_end.
 
     Writes the diagnostics series (and any snapshots/checkpoints) under the
-    output directory.  stop_after_steps ends the segment early with a forced
-    checkpoint, leaving the series resumable.
+    output directory.
     """
     outdir = Path(cfg.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -146,26 +144,32 @@ def run(cfg, stop_after_steps=None):
     energies = diagnostics.energy(state)
     for row in recorder.record(state, energies):
         writer.add_row(row)
-    return _advance(cfg, state, recorder, writer, stop_after_steps,
-                    energies[0])
+    return _advance(cfg, state, recorder, writer, energies[0])
 
 
-def resume_run(checkpoint_path, stop_after_steps=None):
+def resume_run(checkpoint_path):
     """Continue a checkpointed run; the finished series is byte-identical
-    to the one an uninterrupted run would have produced."""
+    to the one the run would have produced had it never stopped.
+
+    A checkpoint that does not decode whole raises io.BadCheckpoint before
+    the series is touched.
+    """
     saved = io.read_checkpoint(checkpoint_path)
     cfg = saved["cfg"]
+    try:
+        recorder = diagnostics.SeriesRecorder.from_state_dict(
+            saved["recorder_state"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise io.BadCheckpoint(f"{checkpoint_path}: unreadable recorder state "
+                               f"({type(exc).__name__}: {exc})") from exc
     state = SimState(saved["t"], saved["step_index"],
                      fluid.VelocityField(cfg.box, saved["c"]),
                      particles.ParticleEnsemble(saved["X"], saved["V"],
                                                 saved["w"]))
-    recorder = diagnostics.SeriesRecorder.from_state_dict(
-        saved["recorder_state"], saved["writer_state"])
-    outdir = Path(cfg.output.dir)
-    writer = io.TimeseriesWriter.restore(outdir / cfg.output.series,
-                                         diagnostics.csv_columns(cfg.box.d),
-                                         saved["writer_state"]["n_written"])
-    return _advance(cfg, state, recorder, writer, stop_after_steps,
+    writer = io.TimeseriesWriter.restore(
+        Path(cfg.output.dir) / cfg.output.series,
+        diagnostics.csv_columns(cfg.box.d), saved["n_written"])
+    return _advance(cfg, state, recorder, writer,
                     diagnostics.energy(state)[0])
 
 
@@ -185,7 +189,7 @@ def _unstable(state, good, dt, box, e_fluid, e_kin, series, checkpoints):
         f"{series}{where}", quantity, state.step_index, cfl, checkpoint)
 
 
-def _advance(cfg, state, recorder, writer, stop_after_steps, prev_e):
+def _advance(cfg, state, recorder, writer, prev_e):
     """Step from state to t_end; prev_e is the energy of state."""
     outdir = Path(cfg.output.dir)
     out = cfg.output
@@ -198,12 +202,6 @@ def _advance(cfg, state, recorder, writer, stop_after_steps, prev_e):
 
     def due(every):
         return every > 0 and state.step_index % every == 0
-
-    def checkpoint_now():
-        path = outdir / f"checkpoint_{state.step_index:08d}.npz"
-        io.write_checkpoint(path, cfg, state, recorder.state_dict(),
-                            writer.n_written)
-        checkpoints.append(path)
 
     while state.t < cfg.t_end - t_tol:
         dt = cfg.dt
@@ -222,9 +220,7 @@ def _advance(cfg, state, recorder, writer, stop_after_steps, prev_e):
         max_rise = max(max_rise, e_now - prev_e)
         prev_e = e_now
 
-        final = state.t >= cfg.t_end - t_tol
-        checkpoint_due = due(out.checkpoint_every_steps)
-        if due(out.series_every_steps) or final:
+        if due(out.series_every_steps) or state.t >= cfg.t_end - t_tol:
             ensure_moments(state, cfg.kernel, cfg.box)
             for row in recorder.record(state, energies):
                 writer.add_row(row)
@@ -233,18 +229,14 @@ def _advance(cfg, state, recorder, writer, stop_after_steps, prev_e):
             io.write_snapshot(path, cfg.box, state.t, state.u.values(),
                               state.ens.X, state.ens.V, state.ens.w)
             snapshots.append(path)
-        if checkpoint_due:
-            checkpoint_now()
-        if stop_after_steps is not None and n_steps >= stop_after_steps \
-                and not final:
-            if not checkpoint_due:
-                checkpoint_now()
-            writer.close()
-            return RunResult(state, writer.path, snapshots, checkpoints,
-                             e0, n_steps, max_rise, interrupted=True)
+        if due(out.checkpoint_every_steps):
+            path = outdir / f"checkpoint_{state.step_index:08d}.npz"
+            io.write_checkpoint(path, cfg, state, recorder.state_dict(),
+                                writer.n_written)
+            checkpoints.append(path)
 
     for row in recorder.finish():
         writer.add_row(row)
     writer.close()
     return RunResult(state, writer.path, snapshots, checkpoints,
-                     e0, n_steps, max_rise, interrupted=False)
+                     e0, n_steps, max_rise)

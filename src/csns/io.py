@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import struct
+import tokenize
 import zipfile
 from pathlib import Path
 
@@ -120,7 +121,8 @@ class TimeseriesWriter:
     @classmethod
     def restore(cls, path, columns, n_written):
         # drop any rows written after the checkpoint, so resuming from a
-        # mid-run checkpoint reproduces the uninterrupted series exactly
+        # mid-run checkpoint reproduces the series of a run that never
+        # stopped, byte for byte
         with open(path, "r+", newline="") as fh:
             for _ in range(1 + n_written):
                 if not fh.readline():
@@ -209,6 +211,8 @@ def read_snapshot(path):
         raise BadSnapshot(f"bad magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise BadSnapshot(f"unsupported version {version}")
+    if d not in (2, 3):
+        raise BadSnapshot(f"dimension {d} is not 2 or 3")
     box = BoxSpec(d=int(d), L=float(length), N=int(n_grid))
     table = []
     pos = _HEADER.size
@@ -260,28 +264,69 @@ def write_checkpoint(path, cfg, state, recorder_state, n_written):
 
 
 def read_checkpoint(path):
-    """Load a checkpoint; a file that cannot be decoded raises BadCheckpoint.
+    """Load a checkpoint whole; a file that cannot be decoded, or whose state
+    does not fit its stored configuration, raises BadCheckpoint naming the
+    file and the field.
 
-    A stored configuration that fails validation raises ConfigError.
+    Returns cfg, t, step_index, the state arrays c, X, V and w, the number
+    of series rows on disk (n_written) and the series recorder's state_dict
+    (recorder_state).  A stored configuration that fails validation raises
+    ConfigError.
     """
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            version = int(npz["version"])
-            saved = {
-                "t": float(npz["t"]),
-                "step_index": int(npz["step_index"]),
-                "c": npz["c"],
-                "X": npz["X"],
-                "V": npz["V"],
-                "w": npz["w"],
-                "recorder_state": json.loads(str(npz["recorder_json"])),
-                "writer_state": json.loads(str(npz["writer_json"])),
-            }
-            cfg_data = json.loads(str(npz["config_json"]))
-    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise BadCheckpoint(f"{path}: unreadable checkpoint ({exc})") from exc
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                version = int(npz["version"])
+                saved = {
+                    "t": float(npz["t"]),
+                    "step_index": int(npz["step_index"]),
+                    "c": npz["c"],
+                    "X": npz["X"],
+                    "V": npz["V"],
+                    "w": npz["w"],
+                }
+                recorder = json.loads(str(npz["recorder_json"]))
+                writer = json.loads(str(npz["writer_json"]))
+                cfg_data = json.loads(str(npz["config_json"]))
+        # zipfile raises RuntimeError for an entry flagged as encrypted,
+        # NotImplementedError for an unknown compression method and OSError
+        # for a directory offset before the start of the file; numpy's
+        # array-header parser lets SyntaxError and TokenError through
+        except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError,
+                SyntaxError, TypeError, ValueError, tokenize.TokenError,
+                zipfile.BadZipFile) as exc:
+            raise BadCheckpoint(f"{path}: unreadable checkpoint ({exc})") \
+                from exc
     if version != CHECKPOINT_VERSION:
         raise BadCheckpoint(f"{path}: unsupported checkpoint version "
                             f"{version}")
-    saved["cfg"] = config_from_data(cfg_data)
+    cfg = saved["cfg"] = config_from_data(cfg_data)
+    box, n = cfg.box, cfg.particle_count
+    for key, kind, shape in (("c", "c", (box.d,) + box.spectral_shape),
+                             ("X", "f", (n, box.d)), ("V", "f", (n, box.d)),
+                             ("w", "f", (n,))):
+        arr = saved[key]
+        if arr.dtype.kind != kind or arr.shape != shape:
+            raise BadCheckpoint(
+                f"{path}: {key} is {arr.dtype} of shape {arr.shape}, not "
+                f"{'complex' if kind == 'c' else 'float'} of shape {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise BadCheckpoint(f"{path}: {key} holds nonfinite values")
+    if not 0.0 <= saved["t"] < np.inf:
+        raise BadCheckpoint(f"{path}: t is {saved['t']}, not a finite time "
+                            ">= 0")
+    if saved["step_index"] < 0:
+        raise BadCheckpoint(f"{path}: step_index is {saved['step_index']}, "
+                            "below 0")
+    n_written = writer.get("n_written") if isinstance(writer, dict) else None
+    if type(n_written) is not int or n_written < 0:
+        raise BadCheckpoint(f"{path}: n_written is {n_written!r}, not a row "
+                            "count")
+    saved["n_written"] = n_written
+    if isinstance(recorder, dict):
+        # checkpoints written before the recorder held the series rows keep
+        # the held rows and the (t, E) window in writer_json
+        recorder = {**{k: writer[k] for k in ("pending", "window")
+                       if k in writer}, **recorder}
+    saved["recorder_state"] = recorder
     return saved

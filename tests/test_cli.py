@@ -176,7 +176,7 @@ def test_run_that_cannot_write_exits_1(tmp_path, capsys, outdir, series,
     assert str(tmp_path / named) in capsys.readouterr().err
 
 
-def test_resume_via_cli_matches_uninterrupted(tmp_path):
+def test_resume_via_cli_matches_uninterrupted(tmp_path, killed_run):
     _, cfg_full = write_config(tmp_path, t_end=0.04,
                                output=OutputSpec(dir=str(tmp_path / "full"),
                                                  series="series.csv",
@@ -186,14 +186,13 @@ def test_resume_via_cli_matches_uninterrupted(tmp_path):
                                 output=OutputSpec(dir=str(tmp_path / "split"),
                                                   series="series.csv",
                                                   series_every_steps=4))
-    part = driver.run(cfg_split, stop_after_steps=17)
-    assert part.interrupted
-    assert cli.main(["run", "--resume", str(part.checkpoint_paths[-1])]) == 0
+    checkpoint, _ = killed_run(cfg_split, 17)
+    assert cli.main(["run", "--resume", str(checkpoint)]) == 0
     assert (tmp_path / "full" / "series.csv").read_bytes() \
         == (tmp_path / "split" / "series.csv").read_bytes()
 
 
-def test_resume_from_checkpoint_with_unit_cap(tmp_path):
+def test_resume_from_checkpoint_with_unit_cap(tmp_path, killed_run):
     # a checkpoint whose stored config carries "cap": 1.0, as written before
     # the key was retired, resumes to the uninterrupted series
     _, cfg_full = write_config(tmp_path, output=OutputSpec(
@@ -201,7 +200,7 @@ def test_resume_from_checkpoint_with_unit_cap(tmp_path):
     driver.run(cfg_full)
     _, cfg_split = write_config(tmp_path, output=OutputSpec(
         dir=str(tmp_path / "split"), series="series.csv", series_every_steps=4))
-    checkpoint = driver.run(cfg_split, stop_after_steps=9).checkpoint_paths[-1]
+    checkpoint, _ = killed_run(cfg_split, 9)
     with np.load(checkpoint) as npz:
         arrays = dict(npz)
     stored = json.loads(str(arrays["config_json"]))
@@ -229,13 +228,13 @@ def to_parent_layout(checkpoint):
     return len(writer["pending"])
 
 
-def test_resume_from_parent_layout_checkpoint(tmp_path):
+def test_resume_from_parent_layout_checkpoint(tmp_path, killed_run):
     _, cfg_full = write_config(tmp_path, output=OutputSpec(
         dir=str(tmp_path / "full"), series="series.csv", series_every_steps=4))
     driver.run(cfg_full)
     _, cfg_split = write_config(tmp_path, output=OutputSpec(
         dir=str(tmp_path / "split"), series="series.csv", series_every_steps=4))
-    checkpoint = driver.run(cfg_split, stop_after_steps=9).checkpoint_paths[-1]
+    checkpoint, _ = killed_run(cfg_split, 9)
     assert to_parent_layout(checkpoint) == 1
     assert cli.main(["run", "--resume", str(checkpoint)]) == 0
     assert (tmp_path / "full" / "series.csv").read_bytes() \
@@ -258,18 +257,18 @@ def test_resume_from_parent_layout_checkpoint_with_held_rows(tmp_path, t_end,
     assert res.series_path.read_bytes() == series
 
 
-def split_run(tmp_path):
-    """A run stopped after 10 of 20 steps, with its checkpoint."""
+def split_run(tmp_path, killed_run):
+    """A run killed after its step-10 checkpoint, of 20 steps; returns the
+    checkpoint and the series."""
     _, cfg = write_config(tmp_path,
                           output=OutputSpec(dir=str(tmp_path / "out"),
                                             series="series.csv",
                                             series_every_steps=5))
-    part = driver.run(cfg, stop_after_steps=10)
-    return part.checkpoint_paths[-1], part.series_path
+    return killed_run(cfg, 10)
 
 
-def test_resume_from_cut_checkpoint_exits_1(tmp_path, capsys):
-    checkpoint, _ = split_run(tmp_path)
+def test_resume_from_cut_checkpoint_exits_1(tmp_path, capsys, killed_run):
+    checkpoint, _ = split_run(tmp_path, killed_run)
     cut = tmp_path / "cut.npz"
     cut.write_bytes(checkpoint.read_bytes()[:2000])
     empty = tmp_path / "empty.npz"
@@ -279,11 +278,53 @@ def test_resume_from_cut_checkpoint_exits_1(tmp_path, capsys):
         assert str(path) in capsys.readouterr().err
 
 
-def test_resume_without_series_exits_1(tmp_path, capsys):
-    checkpoint, series = split_run(tmp_path)
+def test_resume_without_series_exits_1(tmp_path, capsys, killed_run):
+    checkpoint, series = split_run(tmp_path, killed_run)
     series.unlink()
     assert cli.main(["run", "--resume", str(checkpoint)]) == 1
     assert str(series) in capsys.readouterr().err
+
+
+def with_arrays(**make):
+    """An edit that sets each checkpoint array key to make[key](arrays)."""
+    def edit(checkpoint):
+        with np.load(checkpoint) as npz:
+            arrays = dict(npz)
+        np.savez(checkpoint, **{**arrays, **{key: f(arrays)
+                                             for key, f in make.items()}})
+    return edit
+
+
+def in_central_directory(offset, patch):
+    """An edit that sets the byte at offset in the checkpoint's first
+    central-directory entry (version.npy's) to patch(byte)."""
+    def edit(checkpoint):
+        raw = bytearray(checkpoint.read_bytes())
+        at = raw.index(b"PK\x01\x02") + offset
+        raw[at] = patch(raw[at])
+        checkpoint.write_bytes(bytes(raw))
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    with_arrays(c=lambda a: a["c"][:, ::2, ::2]),
+    with_arrays(X=lambda a: np.zeros((a["X"].shape[0], 3))),
+    with_arrays(recorder_json=lambda a: "{}"),
+    with_arrays(writer_json=lambda a: json.dumps({"n_written": "3"})),
+    with_arrays(writer_json=lambda a: json.dumps({"n_written": -1})),
+    with_arrays(t=lambda a: np.float64("nan")),
+    in_central_directory(8, lambda flags: flags | 1),
+    in_central_directory(10, lambda method: 99),
+], ids=["c-shape", "X-shape", "recorder-empty", "n_written-string",
+        "n_written-negative", "t-nan", "zip-encrypted", "zip-method"])
+def test_resume_from_malformed_checkpoint_exits_1(tmp_path, capsys,
+                                                  killed_run, edit):
+    checkpoint, series = split_run(tmp_path, killed_run)
+    before = series.read_bytes()
+    edit(checkpoint)
+    assert cli.main(["run", "--resume", str(checkpoint)]) == 1
+    assert str(checkpoint) in capsys.readouterr().err
+    assert series.read_bytes() == before
 
 
 @pytest.mark.parametrize("module", ["csns", "csns.cli"])

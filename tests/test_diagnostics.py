@@ -323,7 +323,7 @@ def test_series_recorder_rows_and_resume():
     assert row1["ledger_residual"] == pytest.approx(0.5 * (0.25 + 0.25))
     assert row1["tw_drag_cum"] > 0.0
 
-    other = diagnostics.SeriesRecorder.from_state_dict(saved, {})
+    other = diagnostics.SeriesRecorder.from_state_dict(saved)
     assert other.record(state, energies) == []
     row0_again, row1_again = other.finish()
     for row in (row0, row1, row0_again, row1_again):

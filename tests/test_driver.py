@@ -230,7 +230,7 @@ def test_run_zero_time_emits_initial_row(tmp_path):
     data = io.read_timeseries(res.series_path)
     assert data.shape == ()
     assert float(data["t"]) == 0.0
-    assert res.n_steps == 0 and not res.interrupted
+    assert res.n_steps == 0
 
 
 def test_run_emits_final_row_off_cadence(tmp_path):
@@ -267,15 +267,12 @@ def test_run_writes_snapshots_and_checkpoints(tmp_path):
     assert len(res.checkpoint_paths) == 2
 
 
-def test_interrupted_resume_is_byte_identical(tmp_path):
+def test_interrupted_resume_is_byte_identical(tmp_path, killed_run):
     full = coupled_config(tmp_path / "full")
     r_full = driver.run(full)
     split = coupled_config(tmp_path / "split")
-    r_split = driver.run(split, stop_after_steps=23)
-    assert r_split.interrupted
-    assert r_split.checkpoint_paths
-    r_resumed = driver.resume_run(r_split.checkpoint_paths[-1])
-    assert not r_resumed.interrupted
+    checkpoint, _ = killed_run(split, 23)
+    r_resumed = driver.resume_run(checkpoint)
     assert (tmp_path / "full" / "series.csv").read_bytes() \
         == (tmp_path / "split" / "series.csv").read_bytes()
     assert np.array_equal(r_full.state.u.c, r_resumed.state.u.c)
@@ -288,7 +285,6 @@ def test_resume_from_stale_checkpoint_rewrites_tail(tmp_path):
         dir=str(tmp_path), series="series.csv", series_every_steps=4,
         checkpoint_every_steps=20))
     r_full = driver.run(cfg)
-    assert not r_full.interrupted
     finished = (tmp_path / "series.csv").read_bytes()
     # the completed file has rows past the checkpoint; they must be dropped
     r_again = driver.resume_run(r_full.checkpoint_paths[0])

@@ -277,8 +277,7 @@ def test_recorder_and_writer_close_restore_byte_identical(tmp_path):
     record_rows(rec1, w1, ts[:6], es[:6])
     state = json.loads(json.dumps(rec1.state_dict()))
     w1.close()
-    rec2 = diagnostics.SeriesRecorder.from_state_dict(
-        state, {"n_written": w1.n_written})
+    rec2 = diagnostics.SeriesRecorder.from_state_dict(state)
     w2 = io.TimeseriesWriter.restore(split, cols, w1.n_written)
     record_rows(rec2, w2, ts[6:], es[6:])
     finish_rows(rec2, w2)
@@ -372,9 +371,10 @@ def test_checkpoint_round_trip(tmp_path):
     rng = np.random.Generator(np.random.PCG64(2))
     c = rng.standard_normal((2,) + box.spectral_shape) \
         + 1j * rng.standard_normal((2,) + box.spectral_shape)
-    ens = particles.ParticleEnsemble(rng.uniform(0, box.L, (5, 2)),
-                                     rng.standard_normal((5, 2)),
-                                     np.full(5, 0.2))
+    n = cfg.particle_count
+    ens = particles.ParticleEnsemble(rng.uniform(0, box.L, (n, 2)),
+                                     rng.standard_normal((n, 2)),
+                                     np.full(n, 1.0 / n))
     state = SimpleNamespace(t=0.75, step_index=750,
                             u=fluid.VelocityField(box, c), ens=ens)
     rec_state = {"nu": 0.7, "c_sq": 6.0, "ledger": None, "tw_cum": 0.0,
@@ -388,7 +388,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back["c"], c)
     assert np.array_equal(back["X"], ens.X)
     assert back["recorder_state"] == rec_state
-    assert back["writer_state"] == {"n_written": 3}
+    assert back["n_written"] == 3
 
 
 class FailingWrite(RuntimeError):
@@ -412,19 +412,21 @@ def test_snapshot_write_failing_midway_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def resting_state(box, step_index, n):
+def resting_state(cfg, step_index):
+    """A state at rest that fits cfg: its grid and particle count."""
+    box, n = cfg.box, cfg.particle_count
     return SimpleNamespace(
         t=1e-3 * step_index, step_index=step_index,
         u=fluid.VelocityField(box, np.zeros((2,) + box.spectral_shape,
                                             dtype=complex)),
         ens=particles.ParticleEnsemble(np.zeros((n, 2)), np.zeros((n, 2)),
-                                       np.ones(n) / max(n, 1)))
+                                       np.ones(n) / n))
 
 
 def test_checkpoint_write_failing_midway_leaves_no_file(tmp_path,
                                                         monkeypatch):
     cfg = sample_config(outdir=str(tmp_path))
-    state = resting_state(cfg.box, 500, 1)
+    state = resting_state(cfg, 500)
     path = tmp_path / "checkpoint_00000500.npz"
     io.write_checkpoint(path, cfg, state, {}, 0)
     good = path.read_bytes()
@@ -449,7 +451,7 @@ def test_checkpoint_write_failing_midway_leaves_no_file(tmp_path,
 def test_checkpoint_keeps_its_name(tmp_path):
     cfg = sample_config(outdir=str(tmp_path))
     path = tmp_path / "ck"
-    io.write_checkpoint(path, cfg, resting_state(cfg.box, 0, 0), {}, 0)
+    io.write_checkpoint(path, cfg, resting_state(cfg, 0), {}, 0)
     assert [p.name for p in tmp_path.iterdir()] == ["ck"]
     assert io.read_checkpoint(path)["step_index"] == 0
 
@@ -479,3 +481,41 @@ def test_read_timeseries_checks_columns(tmp_path):
     path.write_text("t,E\n0.0,1.0\n0.1,0.9")
     assert io.read_timeseries(path)["E"][1] == 0.9
     assert io.read_timeseries(path, ["t", "E"])["E"][1] == 0.9
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "snapshot", "series"])
+def test_readers_fail_cleanly_on_cut_and_flipped_files(tmp_path, kind):
+    # every probe returns or raises the reader's own error, which the CLI
+    # reports with exit 1; a snapshot payload flip still parses (it has no
+    # checksum), so what a probe returns is not checked
+    cfg = dataclasses.replace(
+        sample_config(), box=BoxSpec(d=2, L=2.0 * math.pi, N=8), t_end=0.004,
+        particle_count=4,
+        output=OutputSpec(dir=str(tmp_path / "out"), series="series.csv",
+                          series_every_steps=1, snapshot_every_steps=2,
+                          checkpoint_every_steps=2))
+    res = driver.run(cfg)
+    path, read, bad = {
+        "checkpoint": (res.checkpoint_paths[0], io.read_checkpoint,
+                       io.BadCheckpoint),
+        "snapshot": (res.snapshot_paths[0], io.read_snapshot, io.BadSnapshot),
+        "series": (res.series_path, io.read_timeseries, io.BadSeries),
+    }[kind]
+    raw = path.read_bytes()
+    rng = np.random.default_rng(11)
+    probes = [raw[:cut] for cut in rng.integers(0, len(raw), 400)]
+    for bit in rng.integers(0, 8 * len(raw), 400):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        probes.append(bytes(flipped))
+    probe = tmp_path / "probe"
+    failures = []
+    for i, data in enumerate(probes):
+        probe.write_bytes(data)
+        try:
+            read(probe)
+        except bad:
+            pass
+        except Exception as exc:  # noqa: BLE001 - each one is a finding
+            failures.append((i, repr(exc)))
+    assert failures == []
