@@ -125,7 +125,7 @@ class TimeseriesWriter:
         # stopped, byte for byte
         with open(path, "r+", newline="") as fh:
             for _ in range(1 + n_written):
-                if not fh.readline():
+                if not fh.readline().endswith("\n"):
                     raise BadCheckpoint(
                         f"{path} holds fewer rows than its checkpoint")
             fh.truncate(fh.tell())

@@ -285,6 +285,19 @@ def test_resume_without_series_exits_1(tmp_path, capsys, killed_run):
     assert str(series) in capsys.readouterr().err
 
 
+def test_resume_with_a_counted_row_cut_exits_1(tmp_path, capsys,
+                                               killed_run):
+    # the series ends inside the last row its checkpoint counts
+    checkpoint, series = split_run(tmp_path, killed_run)
+    lines = series.read_bytes().splitlines(keepends=True)
+    n_written = io.read_checkpoint(checkpoint)["n_written"]
+    cut = b"".join(lines[:n_written]) + lines[n_written][:10]
+    series.write_bytes(cut)
+    assert cli.main(["run", "--resume", str(checkpoint)]) == 1
+    assert str(series) in capsys.readouterr().err
+    assert series.read_bytes() == cut
+
+
 def with_arrays(**make):
     """An edit that sets each checkpoint array key to make[key](arrays)."""
     def edit(checkpoint):
