@@ -8,6 +8,7 @@ so a failing check names exactly one violated estimate.
 from __future__ import annotations
 
 import math
+import numbers as _numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -15,6 +16,12 @@ import numpy as np
 from . import fluid, particles
 
 TW_EXPONENT = 17.0 / 16.0
+
+
+def _is_number(value):
+    """A real number; a bool is none.  NaN stands for a value not yet
+    known, as in a held row's fs_residual."""
+    return isinstance(value, _numbers.Real) and not isinstance(value, bool)
 
 
 def csv_columns(d):
@@ -30,7 +37,7 @@ def csv_columns(d):
 
 def energy(state):
     """(E, E_fluid, E_kinetic)."""
-    e_fluid = fluid.kinetic_energy(state.u.c, state.u.box)
+    e_fluid = fluid.kinetic_energy(state.u.block, state.u.box)
     ens = state.ens
     e_kin = 0.5 * float(np.sum(ens.w * np.sum(ens.V * ens.V, axis=1)))
     return e_fluid + e_kin, e_fluid, e_kin
@@ -38,7 +45,7 @@ def energy(state):
 
 def total_momentum(state):
     """Fluid plus particle momentum; the drag exchange conserves it."""
-    return fluid.fluid_momentum(state.u.c, state.u.box) \
+    return fluid.fluid_momentum(state.u.block, state.u.box) \
         + particles.particle_momentum(state.ens)
 
 
@@ -53,7 +60,7 @@ def dissipation_terms(state, nu, u_phys):
     the moments were deposited with, and u is read at the particles once.
     """
     box = state.u.box
-    grad = fluid.dissipation_rate(state.u.c, box, nu)
+    grad = fluid.dissipation_rate(state.u.block, box, nu)
     ens = state.ens
     if ens.n == 0:
         return grad, 0.0, 0.0, 0.0
@@ -313,7 +320,7 @@ class SeriesRecorder:
             "rho_linf": rho_linf,
             "momentum_x": mom[0],
             "momentum_y": mom[1],
-            "lowfreq_energy": fluid.low_freq_energy(state.u.c, box, r),
+            "lowfreq_energy": fluid.low_freq_energy(state.u.block, box, r),
             "fs_residual": float("nan"),
             "alignment_gap": gap,
             "tw_drag_cum": self.tw_cum,
@@ -335,14 +342,48 @@ class SeriesRecorder:
 
     @classmethod
     def from_state_dict(cls, d):
-        """The recorder whose state_dict() was d."""
-        rec = cls(d["nu"], d["c_sq"])
+        """The recorder whose state_dict() was d.
+
+        A missing key raises KeyError and a value of the wrong type or
+        length ValueError naming its key, so that a resume fails before it
+        steps: every value is a real number, tw_last a pair of them or None,
+        the ledger a table of them or None, pending at most three rows
+        holding the columns of a 2D or 3D series and window at most three
+        (t, E) pairs.
+        """
+        def numbers(key, values, count):
+            if not (isinstance(values, list) and len(values) == count
+                    and all(map(_is_number, values))):
+                raise ValueError(f"{key} is {values!r}, not {count} numbers")
+            return values
+
+        def table(key, value, columns=None):
+            if not (isinstance(value, dict) and (
+                    columns is None or set(value) in columns)):
+                raise ValueError(f"{key} is {value!r}, not a table of the "
+                                 f"{'series columns' if columns else key}")
+            return dict(zip(value, numbers(key, list(value.values()),
+                                           len(value))))
+
+        def at_most_3(key, values):
+            if not (isinstance(values, list) and len(values) <= 3):
+                raise ValueError(f"{key} is {values!r}, not a list of at "
+                                 "most 3")
+            return values
+
+        nu, c_sq, tw_cum = numbers("nu, c_sq, tw_cum",
+                                   [d["nu"], d["c_sq"], d["tw_cum"]], 3)
+        rec = cls(nu, c_sq)
+        rec.tw_cum = tw_cum
         if d["ledger"] is not None:
-            rec.ledger = EnergyLedger(**d["ledger"])
-        rec.tw_cum = d["tw_cum"]
-        rec._tw_last = tuple(d["tw_last"]) if d["tw_last"] else None
-        rec._pending = [dict(r) for r in d["pending"]]
-        rec._window = [tuple(w) for w in d["window"]]
+            rec.ledger = EnergyLedger(**table("ledger", d["ledger"]))
+        if d["tw_last"] is not None:
+            rec._tw_last = tuple(numbers("tw_last", d["tw_last"], 2))
+        columns = (set(csv_columns(2)), set(csv_columns(3)))
+        rec._pending = [table("pending row", row, columns)
+                        for row in at_most_3("pending", d["pending"])]
+        rec._window = [tuple(numbers("window entry", w, 2))
+                       for w in at_most_3("window", d["window"])]
         return rec
 
 

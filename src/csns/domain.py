@@ -274,6 +274,13 @@ def validate_config(cfg):
         scale, cut = TWO_PI / box.L, good[fp + "xi_cut"]
         if scale * scale > cut * cut:
             errors.append((fp + "xi_cut", f"must be >= 2*pi/L = {scale:.6g}"))
+        # the state holds only the modes the 2/3 rule keeps, |k| <= N//3 on
+        # each axis, so a ball reaching past them would lose its energy
+        top = box.N // 3 * scale if "box.N" in good else math.inf
+        if cut > top:
+            errors.append((fp + "xi_cut", f"must be <= (N//3)*2*pi/L = "
+                           f"{top:.6g}, the largest wavenumber the 2/3 "
+                           "rule keeps on each axis"))
     m = good.get(pp + "m")
     if (m is not None and {"box.d", "particle_count"} <= good.keys()
             and cfg.particle_count != 2 * d * m**d):

@@ -62,15 +62,17 @@ def _stage(cfg, state):
     Returns the fluid rate g and the particle rates (rx, rv), or None for
     the particle rates of an empty ensemble, which deposits nothing.  The
     drag is dealiased and projected with the advection.  The stencil of the
-    moments serves every field read at the stage.
+    moments serves every field read at the stage, and the velocity samples
+    of one set of block inverses (state.u.values()) serve the drag, the
+    particle rates and the right-hand side.
     """
     box, ens = cfg.box, state.ens
     if ens.n == 0:
-        return fluid.nonlinear_term(state.u.c, box), None
+        return fluid.nonlinear_term(state.u.block, box), None
     m = ensure_moments(state, cfg.kernel, box)
     u = state.u.values()
     h = particles.drag_field(m, u, box) if cfg.coupling_enabled else None
-    return (fluid.nonlinear_term(state.u.c, box, h),
+    return (fluid.nonlinear_term(state.u.block, box, h, u),
             particles.stage_rates(ens.X, ens.V, m, u, box))
 
 
@@ -92,7 +94,7 @@ def coupled_step(state, cfg, dt):
         return _stage(cfg, SimState(t, k, fluid.VelocityField(box, c_star),
                                     star))
 
-    c1, r1 = fluid.if_heun(state.u.c, dt, cfg.viscosity, box, g0, g_of)
+    c1, r1 = fluid.if_heun(state.u.block, dt, cfg.viscosity, box, g0, g_of)
     if ens.n:
         ens = _moved(ens, 0.5 * dt, r0[0] + r1[0], r0[1] + r1[1], box)
     return SimState(t, k, fluid.VelocityField(box, c1), ens)
@@ -105,13 +107,15 @@ def adaptive_dt(state, cfl, box):
 
 
 def initial_state(cfg):
-    """Sample the configured initial data; fluid and particles get
-    independent streams spawned from the run seed."""
+    """Sample the configured initial data, the fluid cut to the retained
+    block; fluid and particles get independent streams spawned from the run
+    seed."""
     fluid_seed, particle_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     c = initial.fluid_initial(cfg.init_profile, cfg.box, fluid_seed)
     ens = particles.sample_initial(cfg.init_profile, cfg.particle_count,
                                    cfg.r0, cfg.box, particle_seed)
-    state = SimState(0.0, 0, fluid.VelocityField(cfg.box, c), ens)
+    state = SimState(0.0, 0, fluid.VelocityField.from_spectrum(cfg.box, c),
+                     ens)
     ensure_moments(state, cfg.kernel, cfg.box)
     return state
 

@@ -1,8 +1,17 @@
 """Pseudo-spectral incompressible flow on the periodic box.
 
-Velocity fields are stored as half-spectrum rfft coefficients with the
-'forward' normalization, so the zero mode is the spatial mean.  Spectral
-arrays have shape (d, N, ..., N//2+1); physical arrays (d, N, ..., N).
+Fourier coefficients use the 'forward' normalization, so the zero mode is
+the spatial mean.  Physical arrays have shape (d, N, ..., N);
+forward_transform and inverse_transform work on the whole half spectrum,
+shape (d, N, ..., N//2+1).  The flow itself lives on the retained block,
+the modes the 2/3 rule keeps (retained_block): every mode off it is
+exactly zero, so a velocity (VelocityField), the right-hand side
+(nonlinear_term), the Heun stages (if_heun) and the Parseval sums hold and
+read only the block, shape (d, R, ..., C) with R = 2 (N//3) + 1 rows per
+leading axis and C = N//3 + 1 columns, 30% of the half spectrum at 64^3.
+to_block and from_block cut a half spectrum to the block and scatter a
+block back; the norms, the projection and the divergence below take
+either layout and read it off the array's shape.
 """
 
 from __future__ import annotations
@@ -34,26 +43,107 @@ def inverse_transform(c, box):
 
 
 @dataclass(eq=False)
+class RetainedBlock:
+    """The modes the 2/3 rule keeps, one block of the half spectrum.
+
+    The block is the same retained rows (0..N/3 and N-N/3..N-1) of each
+    leading axis and the first cols columns (0..N/3) of the last; shape is
+    the block's shape and index the np.ix_ index that cuts it out of a
+    half spectrum.  xi, xi_sq, inv_xi_sq and parseval_weight are the
+    wavenumber tables cut to it, i_xi the products 1j * xi.  runs pairs the
+    block slice and the spectrum slice of each run of consecutive rows.
+    """
+
+    rows: np.ndarray
+    cols: int
+    shape: tuple
+    index: tuple
+    xi: tuple
+    i_xi: tuple
+    xi_sq: np.ndarray
+    inv_xi_sq: np.ndarray
+    parseval_weight: np.ndarray
+    runs: tuple
+
+
+@lru_cache(maxsize=32)
+def retained_block(box):
+    """The RetainedBlock of a box, read off its dealias mask (cached; every
+    array is read-only)."""
+    grid = wavenumbers(box)
+    per_axis = [np.flatnonzero(grid.dealias.any(
+        axis=tuple(b for b in range(box.d) if b != a))) for a in range(box.d)]
+    rows, cols = per_axis[0], len(per_axis[-1])
+    index = np.ix_(*per_axis)
+    xi = tuple(np.take(grid.xi[a], per_axis[a], axis=a) for a in range(box.d))
+    ends = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1), len(rows)]
+    runs = tuple((slice(lo, hi), slice(int(rows[lo]), int(rows[hi - 1]) + 1))
+                 for lo, hi in zip(ends, ends[1:]))
+    block = RetainedBlock(
+        rows, cols, tuple(len(k) for k in per_axis), index, xi,
+        tuple(1j * x for x in xi), grid.xi_sq[index], grid.inv_xi_sq[index],
+        grid.parseval_weight[..., :cols], runs)
+    for arr in (rows, *index, *xi, *block.i_xi, block.xi_sq, block.inv_xi_sq,
+                block.parseval_weight):
+        arr.setflags(write=False)
+    return block
+
+
+def to_block(c, box):
+    """The retained block of the half spectrum c (leading axes kept)."""
+    return c[(Ellipsis,) + retained_block(box).index]
+
+
+def from_block(b, box):
+    """The half spectrum whose retained block is b and every other mode
+    zero."""
+    c = np.zeros(b.shape[:-box.d] + box.spectral_shape, dtype=complex)
+    c[(Ellipsis,) + retained_block(box).index] = b
+    return c
+
+
+def _tables(c, box):
+    """The wavenumber tables of the layout of c: the RetainedBlock when c
+    has the block's shape, else the WavenumberGrid of the half spectrum."""
+    block = retained_block(box)
+    return block if c.shape[-box.d:] == block.shape else wavenumbers(box)
+
+
+@dataclass(eq=False)
 class VelocityField:
-    """Spectral velocity container passed around by the driver and the writers."""
+    """Spectral velocity passed around by the driver and the writers.
+
+    block holds the coefficients on the retained block, every other mode
+    being zero; c is the whole half spectrum, scattered on each access.
+    """
 
     box: BoxSpec
-    c: np.ndarray
+    block: np.ndarray
+
+    @classmethod
+    def from_spectrum(cls, box, c):
+        """The field of the half spectrum c, cut to the retained block."""
+        return cls(box, to_block(c, box))
+
+    @property
+    def c(self):
+        return from_block(self.block, self.box)
 
     def values(self):
-        return inverse_transform(self.c, self.box)
+        """The physical samples, bit for bit inverse_transform(self.c)."""
+        return block_values(self.block, self.box)
 
 
 def _parseval_sum(c, table, scale):
-    """scale * sum(table * |c|^2) over the half spectrum; table carries the
+    """scale * sum(table * |c|^2) over the modes c holds; table carries the
     Parseval multiplicities times any per-mode factor, scale the volume
     times any constant (kept as one factor, which fixes the bits)."""
     return float(scale * np.sum(table * (c.real**2 + c.imag**2)))
 
 
 def spectral_l2sq(c, box):
-    """Squared L2 norm over the box via Parseval on the half spectrum."""
-    return _parseval_sum(c, wavenumbers(box).parseval_weight, box.volume)
+    """Squared L2 norm over the box via Parseval, c on either layout."""
+    return _parseval_sum(c, _tables(c, box).parseval_weight, box.volume)
 
 
 def kinetic_energy(c, box):
@@ -63,14 +153,14 @@ def kinetic_energy(c, box):
 
 def dissipation_rate(c, box, nu=1.0):
     """Viscous rate nu * ||grad u||^2."""
-    grid = wavenumbers(box)
+    grid = _tables(c, box)
     return _parseval_sum(c, grid.parseval_weight * grid.xi_sq,
                          nu * box.volume)
 
 
 def low_freq_energy(c, box, r):
     """||u||^2 restricted to the closed ball of modes with |xi| <= r."""
-    grid = wavenumbers(box)
+    grid = _tables(c, box)
     return _parseval_sum(c, grid.parseval_weight * (grid.xi_sq <= r * r),
                          box.volume)
 
@@ -99,8 +189,9 @@ def _project_into(c, xi, inv_xi_sq, out, div, tmp):
 
 
 def leray_project(c, box):
-    """Remove the gradient part: c - xi (xi . c) / |xi|^2, identity on the mean."""
-    grid = wavenumbers(box)
+    """Remove the gradient part: c - xi (xi . c) / |xi|^2, identity on the
+    mean; c on either layout."""
+    grid = _tables(c, box)
     div = np.empty(c.shape[1:], dtype=complex)
     return _project_into(c, grid.xi, grid.inv_xi_sq,
                          np.empty(c.shape, dtype=complex), div,
@@ -109,51 +200,7 @@ def leray_project(c, box):
 
 def max_divergence(c, box):
     """Spectral sup of |xi . c|; zero for a solenoidal field."""
-    return float(np.max(np.abs(_xi_dot(c, wavenumbers(box).xi))))
-
-
-@dataclass(eq=False)
-class RetainedBlock:
-    """The modes the 2/3 rule keeps, one block of the half spectrum.
-
-    The block is the same retained rows (0..N/3 and N-N/3..N-1) of each
-    leading axis and the first cols columns (0..N/3) of the last.  xi,
-    inv_xi_sq are the wavenumber tables restricted to it, i_xi the products
-    1j * xi.  runs pairs the block slice and the spectrum slice of each run
-    of consecutive rows, and inner the block and spectrum index tuples of the
-    axes between the first and the last (one empty pair in 2D), so the block
-    is read and written by basic slices.
-    """
-
-    rows: np.ndarray
-    cols: int
-    xi: tuple
-    i_xi: tuple
-    inv_xi_sq: np.ndarray
-    runs: tuple
-    inner: tuple
-
-
-@lru_cache(maxsize=32)
-def retained_block(box):
-    """The RetainedBlock of a box, read off its dealias mask (cached; every
-    array is read-only)."""
-    grid = wavenumbers(box)
-    per_axis = [np.flatnonzero(grid.dealias.any(
-        axis=tuple(b for b in range(box.d) if b != a))) for a in range(box.d)]
-    rows = per_axis[0]
-    xi = tuple(np.take(grid.xi[a], per_axis[a], axis=a) for a in range(box.d))
-    ends = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1), len(rows)]
-    runs = tuple((slice(lo, hi), slice(int(rows[lo]), int(rows[hi - 1]) + 1))
-                 for lo, hi in zip(ends, ends[1:]))
-    inner = (((), ()),) if box.d == 2 else tuple(
-        ((b,), (s,)) for b, s in runs)
-    i_xi = tuple(1j * x for x in xi)
-    block = RetainedBlock(rows, len(per_axis[-1]), xi, i_xi,
-                          grid.inv_xi_sq[np.ix_(*per_axis)], runs, inner)
-    for arr in (rows, *xi, *i_xi, block.inv_xi_sq):
-        arr.setflags(write=False)
-    return block
+    return float(np.max(np.abs(_xi_dot(c, _tables(c, box).xi))))
 
 
 # Rows of axis 0 per chunk of the block transforms: about 2^15 grid points,
@@ -178,13 +225,13 @@ class _Work:
     spectrum (half), its real product (product) and, in 3D, the padded
     lines of axis 1 (pad) and their transform (mid); for axis 0, a column
     chunk and its transform, cut to the block's rows.  The per-mode passes
-    take as many rows of all d components as fit the same two buffers (one
-    row at least): finish_rows block rows for the finish of the right-hand
-    side (acc, with div and tmp for the projection), heun_rows spectrum
-    rows for the Heun stages (heun).  A spectrum of at
-    most 2^13 values (128 kB) is one Heun chunk, because on those grids a
-    second chunk costs more than the larger buffers.  Written for d = 2 and
-    3, the dimensions validate_config allows.
+    (the finish of the right-hand side and the Heun stages) take rows
+    block rows of all d components at a time, as many as fit the same two
+    buffers (one row at least): the Heun stages in heun, the finish in
+    div and tmp for the projection.  A block of at most 2^13 values
+    (128 kB) is one chunk, because on those grids a second chunk costs
+    more than the larger buffers.  Written for d = 2 and 3, the dimensions
+    validate_config allows.
     """
 
     def __init__(self, box):
@@ -192,40 +239,36 @@ class _Work:
         N, d = box.N, box.d
         self.box, self.block = box, block
         self.step = step = max(1, min(N, _CHUNK_POINTS // N ** (d - 1)))
-        lines = (N,) + (len(block.rows),) * (d - 2) + (block.cols,)
+        lines = (N,) + block.shape[1:]
         self.lines = np.empty(lines, dtype=complex)
         half = (step,) + box.spectral_shape[1:]
         size = math.prod(half)
-        block_row = block.inv_xi_sq[0].size
-        self.finish_rows = max(1, min(len(block.rows),
-                                      size // (d * block_row)))
-        whole = d * math.prod(box.spectral_shape) <= _CHUNK_POINTS // 4
-        self.heun_rows = N if whole else max(1, step // d)
-        size = max(size, d * self.finish_rows * block_row,
-                   d * self.heun_rows * size // step)
+        rest = block.shape[1:]
+        whole = d * math.prod(block.shape) <= _CHUNK_POINTS // 4
+        self.rows = block.shape[0] if whole else max(
+            1, min(block.shape[0], size // (d * math.prod(rest))))
+        chunk = self.rows * math.prod(rest)
+        size = max(size, d * chunk)
         self.flat = tuple(np.empty(size, dtype=complex) for _ in range(2))
         self.half = _chunk(self.flat[0], half)
         self.product = _chunk(self.flat[1].view(float),
                               (step,) + box.shape[1:])
         mid = (step,) + (N,) * (d - 2) + (block.cols,)
         self.pad, self.mid = (_chunk(f, mid) for f in self.flat)
-        rest = block.inv_xi_sq.shape[1:]
-        self.acc = _chunk(self.flat[0], (d, self.finish_rows) + rest)
-        self.div, self.tmp = (_chunk(f, (self.finish_rows,) + rest) for f in (
-            self.flat[1], self.flat[1][self.finish_rows * block_row:]))
-        self.heun = tuple(_chunk(f, (d, self.heun_rows) + half[1:])
-                          for f in self.flat)
+        self.heun = tuple(_chunk(f, (d, self.rows) + rest) for f in self.flat)
+        self.div, self.tmp = (_chunk(self.flat[1][k * chunk:],
+                                     (self.rows,) + rest) for k in (0, 1))
         self.width = max(1, self.half.size // math.prod(lines[:-1]))
 
 
 def _block_inverse(c, out, work):
-    """Write into out the physical samples of one component of the half
-    spectrum c, dealiased by the 2/3 rule.
+    """Write into out the physical samples of one component c of the
+    retained block.
 
     These are the 1-D passes of np.fft.irfftn, in its axis order, run only
     on lines that can hold a retained mode: each leading axis is zero-padded
-    to N just before its pass, and irfft pads the last axis itself.  The
-    block is read out of c by its runs of rows.
+    to N just before its pass, and irfft pads the last axis itself, so the
+    samples equal those of the whole half spectrum bit for bit.
     """
     block, step, width = work.block, work.step, work.width
     t0 = work.lines
@@ -233,9 +276,8 @@ def _block_inverse(c, out, work):
         cut = slice(c0, min(c0 + width, block.cols))
         pad = _chunk(work.flat[0], t0[..., cut].shape)
         pad.fill(0)
-        for _, full in block.runs:
-            for b, s in block.inner:
-                pad[(full,) + b] = c[(full,) + s + (cut,)]
+        for rows, full in block.runs:
+            pad[full] = c[rows, ..., cut]
         np.fft.ifft(pad, axis=0, norm="forward", out=t0[..., cut])
     N = len(out)
     for r0 in range(0, N, step):
@@ -289,21 +331,18 @@ def _pairs(d):
 
 
 def _finish_rows(t_hat, g, project, lo, hi, work):
-    """Write block rows lo:hi of the right-hand side into the zeroed half
-    spectrum g.
+    """Write block rows lo:hi of the right-hand side into the block g.
 
     t_hat holds the block transforms of the products u_a u_b in _pairs
     order, then those of any forcing.  Each chunk of rows starts from zero,
     subtracts i xi_b t_ab from component a (and i xi_a t_ab from b) pair by
-    pair in that order, adds the forcing, is projected when project, and is
-    copied to its place in g.
+    pair in that order, adds the forcing, and is projected when project.
     """
     block, pairs = work.block, _pairs(len(g))
-    cols = slice(0, block.cols)
-    for r0 in range(lo, hi, work.finish_rows):
-        rows = slice(r0, min(r0 + work.finish_rows, hi))
+    for r0 in range(lo, hi, work.rows):
+        rows = slice(r0, min(r0 + work.rows, hi))
         k = rows.stop - r0
-        acc, div, tmp = work.acc[:, :k], work.div[:k], work.tmp[:k]
+        acc, div, tmp = g[:, rows], work.div[:k], work.tmp[:k]
         # the axis-0 tables are the only ones with more than one row
         xi = (block.xi[0][rows],) + block.xi[1:]
         i_xi = (block.i_xi[0][rows],) + block.i_xi[1:]
@@ -316,14 +355,6 @@ def _finish_rows(t_hat, g, project, lo, hi, work):
             acc[a] += t[rows]
         if project:
             _project_into(acc, xi, block.inv_xi_sq[rows], acc, div, tmp)
-        for b0, full in block.runs:
-            r1, r2 = max(r0, b0.start), min(rows.stop, b0.stop)
-            if r1 >= r2:
-                continue
-            to = slice(r1 + full.start - b0.start, r2 + full.start - b0.start)
-            for b, s in block.inner:
-                g[(slice(None), to) + s + (cols,)] = \
-                    acc[(slice(None), slice(r1 - r0, r2 - r0)) + b]
     return g
 
 
@@ -435,7 +466,7 @@ def _rhs_scratch(box, transforms):
     """
     scratch = getattr(_owned, "rhs", None)
     if scratch is None or scratch[0] != box or len(scratch[2]) < transforms:
-        shape = (transforms,) + retained_block(box).inv_xi_sq.shape
+        shape = (transforms,) + retained_block(box).shape
         scratch = (box, np.empty((box.d,) + box.shape),
                    np.empty(shape, dtype=complex))
         if box.N ** box.d >= _LANE_MIN_POINTS:
@@ -443,50 +474,72 @@ def _rhs_scratch(box, transforms):
     return scratch[1], scratch[2][:transforms]
 
 
-def _right_hand_side(c, box, project, h):
-    """-(u . grad) u + h, the advection in divergence form, projected when
-    project, as a half spectrum.
+def _inverse_jobs(c, u):
+    """The jobs that write the samples of each component of the block c
+    into u."""
+    return [(partial(_block_inverse, c[a], u[a]), ()) for a in range(len(c))]
 
-    u is the velocity of c; both terms are dealiased by the 2/3 rule, so
-    every mode off the retained block is zero and never computed.  One job
-    list holds the d inverse, d(d+1)/2 product and, when the body force h
-    is given, d forcing block transforms, and the row jobs that finish the
-    block into the result.
+
+def block_values(c, box):
+    """The physical samples of the block coefficients c, bit for bit
+    inverse_transform(from_block(c, box), box): one block inverse per
+    component, on the lanes."""
+    u = np.empty((len(c),) + box.shape)
+    pool = _lane_pool(box)
+    _run_lanes(_inverse_jobs(c, u), pool, box)
+    return u
+
+
+def _right_hand_side(c, box, project, h, u):
+    """-(u . grad) u + h, the advection in divergence form, projected when
+    project, on the retained block.
+
+    u is the velocity of the block c, given as its samples or made here;
+    both terms are dealiased by the 2/3 rule, so every mode off the
+    retained block is zero and never computed.  One job list holds the d
+    inverse (when u is not given), d(d+1)/2 product and, when the body
+    force h is given, d forcing block transforms, and the row jobs that
+    finish the result.
     """
-    block = retained_block(box)
     d, pool, pairs = box.d, _lane_pool(box), _pairs(box.d)
     forcing = () if h is None else range(d)
-    u, t_hat = _rhs_scratch(box, len(pairs) + len(forcing))
-    g = np.zeros((d,) + box.spectral_shape, dtype=complex)
-    jobs = [(partial(_block_inverse, c[a], u[a]), ()) for a in range(d)]
-    jobs += [(partial(_product_block, u[a], u[b], t_hat[p]), (a, b))
+    own, t_hat = _rhs_scratch(box, len(pairs) + len(forcing))
+    g = np.empty(c.shape, dtype=complex)
+    jobs = _inverse_jobs(c, own) if u is None else []
+    u, inverses = own if u is None else u, len(jobs)
+    jobs += [(partial(_product_block, u[a], u[b], t_hat[p]),
+              (a, b) if inverses else ())
              for p, (a, b) in enumerate(pairs)]
     jobs += [(partial(_product_block, h[a], None, t_hat[len(pairs) + a]), ())
              for a in forcing]
     jobs += _row_jobs(partial(_finish_rows, t_hat, g, project),
-                      len(block.rows), pool, range(d, len(jobs)))
+                      g.shape[1], pool, range(inverses, len(jobs)))
     _run_lanes(jobs, pool, box)
     return g
 
 
-def nonlinear_term(c, box, h=None):
-    """Projected right-hand side -P[(u . grad) u - h], dealiased by the 2/3
-    rule; h is an optional body force given by its grid samples."""
-    return _right_hand_side(c, box, True, h)
+def nonlinear_term(c, box, h=None, u=None):
+    """Projected right-hand side -P[(u . grad) u - h] of the block c,
+    dealiased by the 2/3 rule, on the block; h is an optional body force
+    given by its grid samples, and u the velocity samples of c, as
+    block_values makes them, when the caller has them."""
+    return _right_hand_side(c, box, True, h, u)
 
 
 def pressure_solve(c, box, h=None):
     """Pressure balancing the divergence of -(u . grad) u + h (mean set to
-    zero), both dealiased; h is an optional body force on the grid."""
+    zero), both dealiased; c is on the block, h an optional body force on
+    the grid."""
     grid = wavenumbers(box)
-    g = _right_hand_side(c, box, False, h)
+    g = from_block(_right_hand_side(c, box, False, h, None), box)
     return inverse_transform(-1j * _xi_dot(g, grid.xi) * grid.inv_xi_sq, box)
 
 
 @lru_cache(maxsize=4)
 def _viscous_decay(box, nu, dt):
-    """The integrating factor exp(-nu |xi|^2 dt) (cached, read-only)."""
-    decay = np.exp(-nu * wavenumbers(box).xi_sq * dt)
+    """The integrating factor exp(-nu |xi|^2 dt) on the retained block
+    (cached, read-only)."""
+    decay = np.exp(-nu * retained_block(box).xi_sq * dt)
     decay.setflags(write=False)
     return decay
 
@@ -494,8 +547,8 @@ def _viscous_decay(box, nu, dt):
 def _heun_rows(c0, g0, h, decay, g1, out, lo, hi, work):
     """Write rows lo:hi of decay * (c0 + h g0), plus h g1 when g1 is not
     None, into out: the operations of the Heun formulas, on chunks of rows."""
-    for r0 in range(lo, hi, work.heun_rows):
-        rows = slice(r0, min(r0 + work.heun_rows, hi))
+    for r0 in range(lo, hi, work.rows):
+        rows = slice(r0, min(r0 + work.rows, hi))
         k = rows.stop - r0
         t, s = work.heun[0][:, :k], work.heun[1][:, :k]
         np.add(c0[:, rows], np.multiply(h, g0[:, rows], out=t), out=t)
@@ -508,7 +561,8 @@ def _heun_rows(c0, g0, h, decay, g1, out, lo, hi, work):
 
 
 def if_heun(c0, dt, nu, box, g0, g_of):
-    """One integrating-factor Heun step for c' = -nu |xi|^2 c + G(c).
+    """One integrating-factor Heun step for c' = -nu |xi|^2 c + G(c), on
+    the retained block.
 
     g0 is G at c0; g_of maps the predictor state to its G value and one
     extra output of that stage, which is handed back with the new state as
@@ -516,28 +570,31 @@ def if_heun(c0, dt, nu, box, g0, g_of):
     through this helper, so the fluid update is bit-identical when no
     particles are present.  The predictor decay (c0 + dt g0) and the
     corrector decay (c0 + dt/2 g0) + dt/2 g1 run as row jobs on the lanes.
+    The corrector does not read the predictor state, so the new state is
+    written over it: g_of must not keep it.
     """
     pool = _lane_pool(box)
     decay = _viscous_decay(box, nu, dt)
-    c_star = np.empty(c0.shape, dtype=complex)
-    _run_lanes(_row_jobs(partial(_heun_rows, c0, g0, dt, decay, None, c_star),
-                         box.N, pool), pool, box)
-    g1, extra = g_of(c_star)
-    del c_star  # the corrector does not read it: c1 may take its memory
+    rows = c0.shape[1]
     c1 = np.empty(c0.shape, dtype=complex)
+    _run_lanes(_row_jobs(partial(_heun_rows, c0, g0, dt, decay, None, c1),
+                         rows, pool), pool, box)
+    g1, extra = g_of(c1)
     _run_lanes(_row_jobs(partial(_heun_rows, c0, g0, 0.5 * dt, decay, g1, c1),
-                         box.N, pool), pool, box)
+                         rows, pool), pool, box)
     return c1, extra
 
 
 def ns_step(c, box, nu, dt, h=None):
-    """Advance the flow one step; h is an optional body force on the grid."""
+    """Advance the flow on the block c one step; h is an optional body
+    force on the grid."""
     return if_heun(c, dt, nu, box, nonlinear_term(c, box, h),
                    lambda cc: (nonlinear_term(cc, box, h), None))[0]
 
 
 def fluid_momentum(c, box):
-    """Integral of u over the box (volume times the mean mode)."""
+    """Integral of u over the box (volume times the mean mode), c on either
+    layout."""
     mean_mode = c[(Ellipsis,) + (0,) * box.d]
     return box.volume * np.real(mean_mode)
 

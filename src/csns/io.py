@@ -14,6 +14,7 @@ import numpy as np
 
 from .domain import (BoxSpec, ConfigError, InitSpec, KernelSpec, OutputSpec,
                      SimConfig, validate_config)
+from .fluid import to_block
 
 SNAPSHOT_MAGIC = b"CSNS"
 SNAPSHOT_VERSION = 1
@@ -270,8 +271,11 @@ def read_checkpoint(path):
 
     Returns cfg, t, step_index, the state arrays c, X, V and w, the number
     of series rows on disk (n_written) and the series recorder's state_dict
-    (recorder_state).  A stored configuration that fails validation raises
-    ConfigError.
+    (recorder_state).  c is stored as the whole half spectrum and returned
+    cut to the retained block, which drops the round-off a checkpoint of an
+    earlier version kept off it.  A stored configuration that fails
+    validation raises ConfigError, each of its paths prefixed with the
+    file.
     """
     with open(path, "rb") as fh:
         try:
@@ -300,7 +304,11 @@ def read_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise BadCheckpoint(f"{path}: unsupported checkpoint version "
                             f"{version}")
-    cfg = saved["cfg"] = config_from_data(cfg_data)
+    try:
+        cfg = saved["cfg"] = config_from_data(cfg_data)
+    except ConfigError as exc:
+        raise ConfigError([(f"{path}: {where}", message)
+                           for where, message in exc.errors]) from exc
     box, n = cfg.box, cfg.particle_count
     for key, kind, shape in (("c", "c", (box.d,) + box.spectral_shape),
                              ("X", "f", (n, box.d)), ("V", "f", (n, box.d)),
@@ -312,6 +320,7 @@ def read_checkpoint(path):
                 f"{'complex' if kind == 'c' else 'float'} of shape {shape}")
         if not np.all(np.isfinite(arr)):
             raise BadCheckpoint(f"{path}: {key} holds nonfinite values")
+    saved["c"] = to_block(saved["c"], box)
     if not 0.0 <= saved["t"] < np.inf:
         raise BadCheckpoint(f"{path}: t is {saved['t']}, not a finite time "
                             ">= 0")

@@ -169,8 +169,12 @@ def test_kernel_cap_other_than_one_exits_2(tmp_path, capsys, cap):
 def test_run_that_cannot_write_exits_1(tmp_path, capsys, outdir, series,
                                        named):
     (tmp_path / "file").write_text("")
+    # on 8^2 the 2/3 rule keeps |xi| <= 2, so the cut is 2
     config_path, _ = write_config(
         tmp_path, box=BoxSpec(d=2, L=2.0 * math.pi, N=8),
+        init_profile=InitSpec(fluid="broadband",
+                              fluid_params={"xi_cut": 2.0, "u_rms": 0.3},
+                              particles="gaussian"),
         output=OutputSpec(dir=str(tmp_path / outdir), series=series))
     assert cli.main(["run", str(config_path)]) == 1
     assert str(tmp_path / named) in capsys.readouterr().err
@@ -319,16 +323,27 @@ def in_central_directory(offset, patch):
     return edit
 
 
+def with_recorder(**values):
+    """An edit that sets keys of the checkpoint's recorder state."""
+    return with_arrays(recorder_json=lambda a: json.dumps(
+        {**json.loads(str(a["recorder_json"])), **values}))
+
+
 @pytest.mark.parametrize("edit", [
     with_arrays(c=lambda a: a["c"][:, ::2, ::2]),
     with_arrays(X=lambda a: np.zeros((a["X"].shape[0], 3))),
     with_arrays(recorder_json=lambda a: "{}"),
+    with_recorder(nu="x"),
+    with_recorder(pending=[{}]),
+    with_recorder(window=[[0.0]]),
     with_arrays(writer_json=lambda a: json.dumps({"n_written": "3"})),
     with_arrays(writer_json=lambda a: json.dumps({"n_written": -1})),
     with_arrays(t=lambda a: np.float64("nan")),
     in_central_directory(8, lambda flags: flags | 1),
     in_central_directory(10, lambda method: 99),
-], ids=["c-shape", "X-shape", "recorder-empty", "n_written-string",
+], ids=["c-shape", "X-shape", "recorder-empty", "recorder-nu-string",
+        "recorder-pending-row-empty", "recorder-window-short",
+        "n_written-string",
         "n_written-negative", "t-nan", "zip-encrypted", "zip-method"])
 def test_resume_from_malformed_checkpoint_exits_1(tmp_path, capsys,
                                                   killed_run, edit):
@@ -337,6 +352,23 @@ def test_resume_from_malformed_checkpoint_exits_1(tmp_path, capsys,
     edit(checkpoint)
     assert cli.main(["run", "--resume", str(checkpoint)]) == 1
     assert str(checkpoint) in capsys.readouterr().err
+    assert series.read_bytes() == before
+
+
+def test_resume_with_invalid_stored_config_names_the_checkpoint(
+        tmp_path, capsys, killed_run):
+    checkpoint, series = split_run(tmp_path, killed_run)
+    before = series.read_bytes()
+
+    def negative_dt(arrays):
+        stored = json.loads(str(arrays["config_json"]))
+        stored["dt"] = -1.0
+        return json.dumps(stored)
+
+    with_arrays(config_json=negative_dt)(checkpoint)
+    assert cli.main(["run", "--resume", str(checkpoint)]) == 2
+    assert (f"config error at {checkpoint}: dt: must be a positive number"
+            in capsys.readouterr().err)
     assert series.read_bytes() == before
 
 

@@ -170,6 +170,25 @@ def test_validate_rejects_particle_data_that_cannot_be_drawn(
         f"init_profile.particle_params.{key}"]
 
 
+@pytest.mark.parametrize("box, top", [
+    (BoxSpec(2, 2 * math.pi, 8), 2.0), (BoxSpec(2, 2 * math.pi, 128), 42.0),
+    (BoxSpec(3, 100.0, 64), 21 * 2 * math.pi / 100.0)],
+    ids=["2d8", "2d128", "3d64"])
+def test_validate_keeps_the_broadband_ball_on_the_retained_block(box, top):
+    # the state holds only the modes with |k| <= N//3 on each axis: a cut
+    # at that wavenumber keeps its ball there, a larger one is refused
+    def broadband(cut):
+        return make_config(box=box, init_profile=InitSpec(
+            fluid="broadband", fluid_params={"xi_cut": cut, "u_rms": 0.3}))
+
+    validate_config(broadband(top))
+    with pytest.raises(ConfigError) as err:
+        validate_config(broadband(top * (1 + 1e-9)))
+    [(path, message)] = err.value.errors
+    assert path == "init_profile.fluid_params.xi_cut"
+    assert f"<= (N//3)*2*pi/L = {top:.6g}" in message
+
+
 def test_validate_accepts_sigma_v_at_r0():
     init = InitSpec(particles="gaussian", particle_params={"sigma_v": 1.5})
     validate_config(make_config(particle_count=8, r0=1.5, init_profile=init))

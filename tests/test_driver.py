@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from csns import diagnostics, driver, fluid, io, oracle, particles
-from csns.domain import (BoxSpec, InitSpec, KernelSpec, OutputSpec, SimConfig,
-                         wavenumbers)
+from csns import diagnostics, driver, fluid, initial, io, oracle, particles
+from csns.domain import (BoxSpec, ConfigError, InitSpec, KernelSpec,
+                         OutputSpec, SimConfig, validate_config, wavenumbers)
 
 BOX2 = BoxSpec(d=2, L=2.0 * math.pi, N=16)
 
@@ -66,12 +66,12 @@ def test_flocked_state_is_a_fixed_point(tmp_path):
 def test_no_particles_matches_pure_fluid_stepper(tmp_path):
     cfg = coupled_config(tmp_path, particle_count=0)
     state = driver.initial_state(cfg)
-    c_ref = state.u.c.copy()
+    c_ref = state.u.block.copy()
     for _ in range(10):
         c_ref = fluid.ns_step(c_ref, cfg.box, cfg.viscosity, cfg.dt)
     for _ in range(10):
         state = driver.coupled_step(state, cfg, cfg.dt)
-    assert np.array_equal(state.u.c, c_ref)
+    assert np.array_equal(state.u.block, c_ref)
 
 
 def counting(monkeypatch, module, name):
@@ -214,12 +214,12 @@ def test_adaptive_dt_value():
     u = np.zeros((2,) + BOX2.shape)
     u[0] = 2.0
     state = driver.SimState(
-        0.0, 0, fluid.VelocityField(BOX2, fluid.forward_transform(u, BOX2)),
+        0.0, 0, fluid.VelocityField.from_spectrum(BOX2, fluid.forward_transform(u, BOX2)),
         particles.ParticleEnsemble(np.zeros((0, 2)), np.zeros((0, 2)),
                                    np.zeros(0)))
     got = driver.adaptive_dt(state, 0.5, BOX2)
     assert got == pytest.approx(0.5 * BOX2.dx / 2.0)
-    state.u = fluid.VelocityField(
+    state.u = fluid.VelocityField.from_spectrum(
         BOX2, fluid.forward_transform(np.zeros((2,) + BOX2.shape), BOX2))
     assert driver.adaptive_dt(state, 0.5, BOX2) == pytest.approx(0.5)
 
@@ -376,7 +376,9 @@ def test_coupled_energy_is_the_physical_energy(tmp_path):
 
 
 def test_coupled_run_from_off_block_data_passes_verification(tmp_path):
-    # on 8^2 a cut of 3.5 gives the initial field modes the 2/3 rule drops
+    # on 8^2 a cut of 3.5 gives the broadband field modes the 2/3 rule
+    # drops: validate_config refuses it, and a state made without that
+    # check is cut to the retained block and runs
     box = BoxSpec(d=2, L=2.0 * math.pi, N=8)
     cfg = coupled_config(
         tmp_path, box=box, particle_count=64, t_end=0.5,
@@ -385,8 +387,13 @@ def test_coupled_run_from_off_block_data_passes_verification(tmp_path):
                               particles="gaussian"),
         output=OutputSpec(dir=str(tmp_path), series="series.csv",
                           series_every_steps=5))
-    c0 = driver.initial_state(cfg).u.c
-    assert np.any(c0[:, ~wavenumbers(box).dealias] != 0)
+    with pytest.raises(ConfigError, match="xi_cut"):
+        validate_config(cfg)
+    off = ~wavenumbers(box).dealias
+    fluid_seed = np.random.SeedSequence(cfg.seed).spawn(2)[0]
+    assert np.any(initial.fluid_initial(cfg.init_profile, box,
+                                        fluid_seed)[:, off] != 0)
+    assert not np.any(driver.initial_state(cfg).u.c[:, off])
     res = driver.run(cfg)
     checks = diagnostics.verify_timeseries(io.read_timeseries(res.series_path))
     assert all(c.passed for c in checks), \

@@ -3,13 +3,15 @@ import math
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csns.domain import BoxSpec, KernelSpec, wavenumbers
-from csns import fluid, oracle, particles
+from csns.domain import (BoxSpec, InitSpec, KernelSpec, OutputSpec, SimConfig,
+                         wavenumbers)
+from csns import driver, fluid, oracle, particles
 
 BOX2 = BoxSpec(2, 2 * math.pi, 32)
 BOX3 = BoxSpec(3, 2 * math.pi, 16)
@@ -22,9 +24,14 @@ def random_field(box, seed, ncomp=None):
 
 
 def random_solenoidal(box, seed):
+    """A random divergence-free field on the retained block."""
     c = fluid.forward_transform(random_field(box, seed, box.d), box)
-    grid = wavenumbers(box)
-    return fluid.leray_project(np.where(grid.dealias, c, 0.0), box)
+    return fluid.leray_project(fluid.to_block(c, box), box)
+
+
+def on_block(u, box):
+    """The block coefficients of the physical field u."""
+    return fluid.to_block(fluid.forward_transform(u, box), box)
 
 
 def grid_mesh(box):
@@ -122,7 +129,7 @@ def test_leray_keeps_mean_mode():
 
 def test_nonlinear_term_vanishes_on_taylor_green():
     u, _, _ = oracle.taylor_green(BOX2)
-    c = fluid.forward_transform(u, BOX2)
+    c = on_block(u, BOX2)
     assert np.max(np.abs(fluid.nonlinear_term(c, BOX2))) < 1e-14
 
 
@@ -132,7 +139,7 @@ def test_nonlinear_term_conserves_energy(seed):
     # advection in divergence form moves energy between modes without creating it
     c = random_solenoidal(BOX2, seed)
     g = fluid.nonlinear_term(c, BOX2)
-    grid = wavenumbers(BOX2)
+    grid = fluid.retained_block(BOX2)
     pairing = np.sum(grid.parseval_weight * np.real(np.conj(c) * g))
     scale = np.sum(grid.parseval_weight * np.abs(c) * np.abs(g)) + 1e-30
     assert abs(pairing) / scale < 1e-12
@@ -142,43 +149,43 @@ def test_nonlinear_term_conserves_energy(seed):
 def test_pressure_solve_gradient_forcing():
     xx, yy = grid_mesh(BOX2)
     h = np.stack([np.cos(xx), np.zeros_like(yy)])
-    c = np.zeros((2,) + BOX2.spectral_shape, dtype=complex)
+    c = np.zeros((2,) + fluid.retained_block(BOX2).shape, dtype=complex)
     p = fluid.pressure_solve(c, BOX2, h=h)
     assert np.max(np.abs(p - np.sin(xx))) < 1e-12
 
 
 def test_pressure_solve_taylor_green():
     u, p_exact, _ = oracle.taylor_green(BOX2)
-    c = fluid.forward_transform(u, BOX2)
+    c = on_block(u, BOX2)
     p = fluid.pressure_solve(c, BOX2)
     assert np.max(np.abs(p - p_exact)) < 1e-12
 
 
 def test_ns_step_shear_exact_decay():
     xx, yy = grid_mesh(BOX2)
-    c = fluid.forward_transform(np.stack([np.sin(yy), np.zeros_like(xx)]), BOX2)
+    c = on_block(np.stack([np.sin(yy), np.zeros_like(xx)]), BOX2)
     nu, dt = 0.7, 2e-2
     for _ in range(10):
         c = fluid.ns_step(c, BOX2, nu, dt)
     exact = math.exp(-nu * 1.0 * 10 * dt)
-    got = fluid.inverse_transform(c, BOX2)[0]
+    got = fluid.block_values(c, BOX2)[0]
     assert np.max(np.abs(got - exact * np.sin(yy))) < 1e-14
 
 
 def test_ns_step_constant_field_unchanged():
-    c = fluid.forward_transform(np.full((2,) + BOX2.shape, 0.3), BOX2)
+    c = on_block(np.full((2,) + BOX2.shape, 0.3), BOX2)
     c1 = fluid.ns_step(c, BOX2, 1.0, 1e-2)
     assert np.max(np.abs(c1 - c)) < 1e-15
 
 
 def test_ns_step_taylor_green_matches_oracle():
     u0, _, _ = oracle.taylor_green(BOX2)
-    c = fluid.forward_transform(u0, BOX2)
+    c = on_block(u0, BOX2)
     nu, dt, n = 1.0, 1e-3, 200
     for _ in range(n):
         c = fluid.ns_step(c, BOX2, nu, dt)
     u_exact, _, e_exact = oracle.taylor_green(BOX2, t=n * dt, nu=nu)
-    assert np.max(np.abs(c - fluid.forward_transform(u_exact, BOX2))) < 1e-12
+    assert np.max(np.abs(c - on_block(u_exact, BOX2))) < 1e-12
     assert fluid.kinetic_energy(c, BOX2) == pytest.approx(e_exact, rel=1e-10)
 
 
@@ -197,7 +204,7 @@ def test_ns_step_preserves_divergence_and_momentum():
 
 def test_ns_step_forced_momentum_gain():
     # a mean force adds volume * h * dt of momentum per step, exactly
-    c = np.zeros((2,) + BOX2.spectral_shape, dtype=complex)
+    c = np.zeros((2,) + fluid.retained_block(BOX2).shape, dtype=complex)
     h = np.zeros((2,) + BOX2.shape)
     h[0] = 0.25
     dt = 1e-2
@@ -213,8 +220,16 @@ def test_max_speed():
 
 
 def test_velocity_field_round_trip():
-    u = random_field(BOX2, 5, 2)
-    vf = fluid.VelocityField(BOX2, fluid.forward_transform(u, BOX2))
+    # the field keeps the retained block of its spectrum, and its samples
+    # are those of the dealiased field
+    c = fluid.forward_transform(random_field(BOX2, 5, 2), BOX2)
+    kept = np.where(wavenumbers(BOX2).dealias, c, 0.0)
+    vf = fluid.VelocityField.from_spectrum(BOX2, c)
+    assert_same_bits(vf.c, kept)
+    u = fluid.inverse_transform(kept, BOX2)
+    assert np.max(np.abs(vf.values() - u)) < 1e-12
+    vf = fluid.VelocityField.from_spectrum(BOX2,
+                                           fluid.forward_transform(u, BOX2))
     assert np.max(np.abs(vf.values() - u)) < 1e-12
 
 
@@ -266,6 +281,27 @@ def reference_ns_step(c, box, nu, dt, h):
     return decay * (c + 0.5 * dt * g0) + 0.5 * dt * g1
 
 
+def rhs(c, box, h=None):
+    """nonlinear_term of the retained block of the half spectrum c,
+    scattered back to the half spectrum."""
+    return fluid.from_block(
+        fluid.nonlinear_term(fluid.to_block(c, box), box, h), box)
+
+
+def pressure(c, box, h=None):
+    return fluid.pressure_solve(fluid.to_block(c, box), box, h)
+
+
+def step(c, box, nu, dt, h=None):
+    """ns_step of the retained block of c, scattered back."""
+    return fluid.from_block(
+        fluid.ns_step(fluid.to_block(c, box), box, nu, dt, h), box)
+
+
+def dealiased(c, box):
+    return np.where(wavenumbers(box).dealias, c, 0.0)
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -281,17 +317,18 @@ BIT_BOXES = [BoxSpec(2, 2 * math.pi, 8), BoxSpec(2, 2 * math.pi, 32),
 def test_retained_block_rhs_matches_full_grid_bits(box):
     c = fluid.forward_transform(random_field(box, 21, box.d), box)
     h = random_field(box, 22, box.d)
-    assert_same_bits(fluid.nonlinear_term(c, box), reference_nonlinear(c, box))
-    assert_same_bits(fluid.nonlinear_term(c, box, h),
+    assert_same_bits(rhs(c, box), reference_nonlinear(c, box))
+    assert_same_bits(rhs(c, box, h),
                      reference_forced(c, box, h))
-    assert_same_bits(fluid.pressure_solve(c, box, h),
+    assert_same_bits(pressure(c, box, h),
                      reference_pressure(c, box, h))
     zero = np.zeros_like(h)
-    assert_same_bits(fluid.pressure_solve(c, box),
+    assert_same_bits(pressure(c, box),
                      reference_pressure(c, box, zero))
     for _ in range(2):  # the second call takes the cached integrating factor
-        assert_same_bits(fluid.ns_step(c, box, 0.7, 1e-2, h),
-                         reference_ns_step(c, box, 0.7, 1e-2, h))
+        assert_same_bits(step(c, box, 0.7, 1e-2, h),
+                         reference_ns_step(dealiased(c, box), box, 0.7,
+                                           1e-2, h))
 
 
 @pytest.mark.parametrize("box", BIT_BOXES, ids=lambda b: f"{b.d}d{b.N}")
@@ -331,6 +368,7 @@ def test_cached_tables_are_read_only(table):
 
 BOX64 = BoxSpec(3, 2 * math.pi, 64)
 C64 = fluid.forward_transform(random_field(BOX64, 44, 3), BOX64)
+B64 = fluid.to_block(C64, BOX64)
 
 
 @pytest.fixture
@@ -356,19 +394,20 @@ def test_lanes_match_full_grid_bits_at_64(usable_cpus, monkeypatch, lanes):
     box = BOX64
     c = fluid.forward_transform(random_field(box, 31, box.d), box)
     h = random_field(box, 32, box.d)
-    assert_same_bits(fluid.nonlinear_term(c, box), reference_nonlinear(c, box))
+    assert_same_bits(rhs(c, box), reference_nonlinear(c, box))
     assert fluid._lanes._max_workers == lanes
     if lanes == 3:
         return
-    assert_same_bits(fluid.nonlinear_term(c, box, h),
+    assert_same_bits(rhs(c, box, h),
                      reference_forced(c, box, h))
-    assert_same_bits(fluid.pressure_solve(c, box, h),
+    assert_same_bits(pressure(c, box, h),
                      reference_pressure(c, box, h))
-    assert_same_bits(fluid.pressure_solve(c, box),
+    assert_same_bits(pressure(c, box),
                      reference_pressure(c, box, np.zeros_like(h)))
     for _ in range(2):
-        assert_same_bits(fluid.ns_step(c, box, 0.7, 1e-2, h),
-                         reference_ns_step(c, box, 0.7, 1e-2, h))
+        assert_same_bits(step(c, box, 0.7, 1e-2, h),
+                         reference_ns_step(dealiased(c, box), box, 0.7,
+                                           1e-2, h))
 
 
 def test_forcing_takes_lane_scratch_only_when_given(usable_cpus,
@@ -379,14 +418,14 @@ def test_forcing_takes_lane_scratch_only_when_given(usable_cpus,
     monkeypatch.delattr(fluid._owned, "rhs", raising=False)
     usable_cpus(2)
     h = random_field(BOX64, 24, 3)
-    assert_same_bits(fluid.nonlinear_term(C64, BOX64),
+    assert_same_bits(rhs(C64, BOX64),
                      reference_nonlinear(C64, BOX64))
     assert len(fluid._owned.rhs[2]) == 6
-    assert_same_bits(fluid.nonlinear_term(C64, BOX64, h),
+    assert_same_bits(rhs(C64, BOX64, h),
                      reference_forced(C64, BOX64, h))
     scratch = fluid._owned.rhs
     assert len(scratch[2]) == 9
-    assert_same_bits(fluid.nonlinear_term(C64, BOX64),
+    assert_same_bits(rhs(C64, BOX64),
                      reference_nonlinear(C64, BOX64))
     assert fluid._owned.rhs is scratch
 
@@ -398,7 +437,7 @@ def test_lane_count_is_capped(usable_cpus):
     c = fluid.forward_transform(random_field(BOX64, 40, 3), BOX64)
     before = threading.active_count()
     for _ in range(2):
-        assert_same_bits(fluid.nonlinear_term(c, BOX64),
+        assert_same_bits(rhs(c, BOX64),
                          reference_nonlinear(c, BOX64))
     assert fluid._lanes._max_workers == fluid._MAX_LANES
     assert 0 < threading.active_count() - before <= fluid._MAX_LANES
@@ -410,7 +449,7 @@ def test_small_grid_starts_no_thread(usable_cpus):
     assert box.N ** box.d < fluid._LANE_MIN_POINTS
     c = fluid.forward_transform(random_field(box, 33, box.d), box)
     before = threading.active_count()
-    assert_same_bits(fluid.nonlinear_term(c, box), reference_nonlinear(c, box))
+    assert_same_bits(rhs(c, box), reference_nonlinear(c, box))
     assert threading.active_count() == before
     assert fluid._lanes is None
 
@@ -419,7 +458,7 @@ def test_one_usable_cpu_starts_no_thread(usable_cpus):
     usable_cpus(1)
     c = fluid.forward_transform(random_field(BOX64, 34, 3), BOX64)
     before = threading.active_count()
-    assert_same_bits(fluid.nonlinear_term(c, BOX64),
+    assert_same_bits(rhs(c, BOX64),
                      reference_nonlinear(c, BOX64))
     assert threading.active_count() == before
     assert fluid._lanes is False
@@ -434,7 +473,7 @@ def test_concurrent_callers_get_serial_bits(usable_cpus, monkeypatch):
     fields = [fluid.forward_transform(random_field(BOX64, s, 3), BOX64)
               for s in (35, 36)]
     monkeypatch.setattr(fluid, "_lanes", False)
-    serial = [fluid.nonlinear_term(c, BOX64) for c in fields]
+    serial = [rhs(c, BOX64) for c in fields]
     usable_cpus(2)
     start = threading.Barrier(2)
     got = [[], []]
@@ -442,7 +481,7 @@ def test_concurrent_callers_get_serial_bits(usable_cpus, monkeypatch):
     def call(k):
         start.wait()
         for _ in range(3):
-            got[k].append(fluid.nonlinear_term(fields[k], BOX64))
+            got[k].append(rhs(fields[k], BOX64))
 
     threads = [threading.Thread(target=call, args=(k,)) for k in (0, 1)]
     for t in threads:
@@ -460,10 +499,107 @@ def test_lane_buffers_follow_the_grid(usable_cpus, monkeypatch):
     c64 = fluid.forward_transform(random_field(BOX64, 37, 3), BOX64)
     c72 = fluid.forward_transform(random_field(big, 38, 3), big)
     monkeypatch.setattr(fluid, "_lanes", False)
-    serial = [fluid.nonlinear_term(c64, BOX64), fluid.nonlinear_term(c72, big)]
+    serial = [rhs(c64, BOX64), rhs(c72, big)]
     usable_cpus(2)
-    assert_same_bits(fluid.nonlinear_term(c64, BOX64), serial[0])
-    assert_same_bits(fluid.nonlinear_term(c72, big), serial[1])
+    assert_same_bits(rhs(c64, BOX64), serial[0])
+    assert_same_bits(rhs(c72, big), serial[1])
+
+
+# The state on the retained block: the full-grid coupled step of the
+# drag-on-block design (velocity samples by irfftn, the right-hand side by
+# the reference formula, Heun on the whole half spectrum) keeps every mode
+# off the block exactly zero, so the block state steps to its bits.
+
+def coupled_config(box, seed):
+    return SimConfig(
+        box=box, dt=1e-3, t_end=1.0,
+        kernel=KernelSpec("inverse_power", 2.0), particle_count=300,
+        init_profile=InitSpec(fluid="broadband",
+                              fluid_params={"xi_cut": 2.5, "u_rms": 0.5},
+                              particles="gaussian"),
+        seed=seed, output=OutputSpec(dir="unused"))
+
+
+def reference_stage(c, ens, cfg):
+    box = cfg.box
+    m = particles.convolve_kernel(particles.deposit_moments(ens, box),
+                                  cfg.kernel, box)
+    u = fluid.inverse_transform(c, box)
+    return (reference_forced(c, box, particles.drag_field(m, u, box)),
+            particles.stage_rates(ens.X, ens.V, m, u, box))
+
+
+def reference_coupled_step(c, ens, cfg, dt):
+    box = cfg.box
+    decay = np.exp(-cfg.viscosity * wavenumbers(box).xi_sq * dt)
+    g0, r0 = reference_stage(c, ens, cfg)
+    g1, r1 = reference_stage(decay * (c + dt * g0),
+                             driver._moved(ens, dt, *r0, box), cfg)
+    return (decay * (c + 0.5 * dt * g0) + 0.5 * dt * g1,
+            driver._moved(ens, 0.5 * dt, r0[0] + r1[0], r0[1] + r1[1], box))
+
+
+@pytest.mark.parametrize("box, lanes", [
+    (BoxSpec(2, 2 * math.pi, 32), 2), (BOX64, 2)], ids=["2d32", "64-lanes"])
+def test_off_block_modes_stay_zero_over_coupled_steps(usable_cpus, box,
+                                                      lanes):
+    usable_cpus(lanes)
+    cfg = coupled_config(box, 8)
+    state = driver.initial_state(cfg)
+    c, ens = state.u.c, state.ens
+    off = ~wavenumbers(box).dealias
+    for _ in range(3):
+        state = driver.coupled_step(state, cfg, cfg.dt)
+        c, ens = reference_coupled_step(c, ens, cfg, cfg.dt)
+        assert c[:, off].tobytes() == np.zeros_like(c[:, off]).tobytes()
+        assert_same_bits(state.u.c, c)
+        assert_same_bits(state.ens.X, ens.X)
+        assert_same_bits(state.ens.V, ens.V)
+    assert bool(fluid._lanes) == (box is BOX64)
+
+
+@pytest.mark.parametrize("box, lanes", [
+    (BoxSpec(2, 2 * math.pi, 32), 2), (BoxSpec(3, 2 * math.pi, 16), 1),
+    (BOX64, 2)], ids=["2d32", "3d16", "64-lanes"])
+def test_stage_samples_are_the_inverse_transform_bits(usable_cpus,
+                                                      monkeypatch, box,
+                                                      lanes):
+    # the samples the drag, the particle rates and the right-hand side of a
+    # stage read are the block inverses of the state, the bits of irfftn
+    usable_cpus(lanes)
+    cfg = coupled_config(box, 9)
+    state = driver.initial_state(cfg)
+    seen = []
+    original = particles.stage_rates
+    monkeypatch.setattr(particles, "stage_rates", lambda X, V, m, u, b: (
+        seen.append(u), original(X, V, m, u, b))[1])
+    driver._stage(cfg, state)
+    want = fluid.inverse_transform(state.u.c, box)
+    assert len(seen) == 1
+    assert_same_bits(seen[0], want)
+    assert_same_bits(state.u.values(), want)
+
+
+def test_step_allocates_no_full_spectrum(usable_cpus):
+    # after a warm-up call, nonlinear_term allocates its block result and
+    # if_heun the new state, each under a third of one half spectrum, plus
+    # the job lists, the futures and numpy's buffers for casting the real
+    # decay factor to complex (about 0.3 MB)
+    usable_cpus(2)
+    c, g = B64, fluid.nonlinear_term(B64, BOX64)
+    block_bytes = B64.nbytes
+    assert block_bytes < 0.31 * 16 * 3 * math.prod(BOX64.spectral_shape)
+    for call in (lambda: fluid.nonlinear_term(c, BOX64),
+                 lambda: fluid.if_heun(c, 1e-2, 0.7, BOX64, g,
+                                       lambda c_star: (g, None))):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes + 2**19
 
 
 def old_if_heun(c0, dt, nu, box, g0, g_of):
@@ -476,7 +612,7 @@ def old_if_heun(c0, dt, nu, box, g0, g_of):
 
 def random_spectrum(box, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
-    shape = (box.d,) + box.spectral_shape
+    shape = (box.d,) + fluid.retained_block(box).shape
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
@@ -541,18 +677,19 @@ def ended(fn, timeout=60.0):
 
 
 def nonlinear_call():
-    return (lambda: fluid.nonlinear_term(C64, BOX64),
-            reference_nonlinear(C64, BOX64))
+    return (lambda: fluid.nonlinear_term(B64, BOX64),
+            fluid.to_block(reference_nonlinear(C64, BOX64), BOX64))
 
 
 def ns_step_call():
     h = np.zeros((3,) + BOX64.shape)
-    return (lambda: fluid.ns_step(C64, BOX64, 0.7, 1e-2, h),
-            reference_ns_step(C64, BOX64, 0.7, 1e-2, h))
+    return (lambda: fluid.ns_step(B64, BOX64, 0.7, 1e-2, h),
+            fluid.to_block(reference_ns_step(dealiased(C64, BOX64), BOX64,
+                                             0.7, 1e-2, h), BOX64))
 
 
 @pytest.mark.parametrize("name, when, call", [
-    ("_block_inverse", lambda k, c, out, work: np.shares_memory(c, C64[1]),
+    ("_block_inverse", lambda k, c, out, work: np.shares_memory(c, B64[1]),
      nonlinear_call),
     ("_product_block", lambda k, *args: k == 2, nonlinear_call),
     ("_finish_rows", lambda k, *args: args[3] == 0, nonlinear_call),

@@ -12,7 +12,7 @@ import pytest
 
 from csns import diagnostics, driver, fluid, io, oracle, particles
 from csns.domain import (BoxSpec, ConfigError, InitSpec, KernelSpec,
-                         OutputSpec, SimConfig)
+                         OutputSpec, SimConfig, wavenumbers)
 
 
 def sample_config(outdir="out"):
@@ -121,7 +121,7 @@ FUZZ_BASE = {
     "particle_count": 8, "r0": 1.0, "cfl": 0.5, "adaptive": False,
     "seed": 3, "coupling_enabled": True,
     "init_profile": {
-        "fluid": "broadband", "fluid_params": {"xi_cut": 2.5, "u_rms": 0.3},
+        "fluid": "broadband", "fluid_params": {"xi_cut": 2.0, "u_rms": 0.3},
         "particles": "gaussian",
         "particle_params": {"sigma_x": 0.5, "sigma_v": 0.3,
                             "center": [1.0, 2.0]}},
@@ -196,7 +196,7 @@ def particle_free_state(t):
     box = BoxSpec(d=2, L=2.0 * math.pi, N=8)
     u = oracle.taylor_green(box)[0]
     return SimpleNamespace(
-        t=t, u=fluid.VelocityField(box, fluid.forward_transform(u, box)),
+        t=t, u=fluid.VelocityField.from_spectrum(box, fluid.forward_transform(u, box)),
         ens=particles.ParticleEnsemble(np.zeros((0, 2)), np.zeros((0, 2)),
                                        np.zeros(0)),
         moments=None)
@@ -365,6 +365,30 @@ def test_snapshot_rejects_wrong_version(tmp_path):
         io.read_snapshot(path)
 
 
+def test_read_checkpoint_cuts_off_block_round_off(tmp_path):
+    # a Taylor-Green field made by forward_transform holds round-off off
+    # the retained block, as checkpoints written before the state lived on
+    # the block stored it; the reader keeps the block alone
+    cfg = dataclasses.replace(
+        sample_config(outdir=str(tmp_path)), particle_count=0,
+        init_profile=InitSpec(fluid="taylor_green"))
+    box = cfg.box
+    c = fluid.forward_transform(oracle.taylor_green(box)[0], box)
+    off = ~wavenumbers(box).dealias
+    assert np.any(c[:, off] != 0)
+    empty = np.zeros((0, 2))
+    state = SimpleNamespace(t=0.0, step_index=0, u=SimpleNamespace(c=c),
+                            ens=particles.ParticleEnsemble(empty, empty,
+                                                           np.zeros(0)))
+    rec_state = {"nu": 0.7, "c_sq": 3.0, "ledger": None, "tw_cum": 0.0,
+                 "tw_last": None, "pending": [], "window": []}
+    path = tmp_path / "ck.npz"
+    io.write_checkpoint(path, cfg, state, rec_state, 0)
+    back = io.read_checkpoint(path)["c"]
+    assert back.tobytes() == fluid.to_block(c, box).tobytes()
+    assert not np.any(fluid.from_block(back, box)[:, off])
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = sample_config(outdir=str(tmp_path))
     box = cfg.box
@@ -376,7 +400,7 @@ def test_checkpoint_round_trip(tmp_path):
                                      rng.standard_normal((n, 2)),
                                      np.full(n, 1.0 / n))
     state = SimpleNamespace(t=0.75, step_index=750,
-                            u=fluid.VelocityField(box, c), ens=ens)
+                            u=fluid.VelocityField.from_spectrum(box, c), ens=ens)
     rec_state = {"nu": 0.7, "c_sq": 6.0, "ledger": None, "tw_cum": 0.0,
                  "tw_last": None, "pending": [], "window": [[0.0, 1.0]]}
     path = tmp_path / "ck.npz"
@@ -385,7 +409,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert back["cfg"] == cfg
     assert back["t"] == 0.75
     assert back["step_index"] == 750
-    assert np.array_equal(back["c"], c)
+    assert np.array_equal(back["c"], fluid.to_block(c, box))
     assert np.array_equal(back["X"], ens.X)
     assert back["recorder_state"] == rec_state
     assert back["n_written"] == 3
@@ -417,7 +441,7 @@ def resting_state(cfg, step_index):
     box, n = cfg.box, cfg.particle_count
     return SimpleNamespace(
         t=1e-3 * step_index, step_index=step_index,
-        u=fluid.VelocityField(box, np.zeros((2,) + box.spectral_shape,
+        u=fluid.VelocityField.from_spectrum(box, np.zeros((2,) + box.spectral_shape,
                                             dtype=complex)),
         ens=particles.ParticleEnsemble(np.zeros((n, 2)), np.zeros((n, 2)),
                                        np.ones(n) / n))
@@ -488,9 +512,13 @@ def test_readers_fail_cleanly_on_cut_and_flipped_files(tmp_path, kind):
     # every probe returns or raises the reader's own error, which the CLI
     # reports with exit 1; a snapshot payload flip still parses (it has no
     # checksum), so what a probe returns is not checked
+    # on 8^2 the 2/3 rule keeps |xi| <= 2, so the cut is 2
     cfg = dataclasses.replace(
         sample_config(), box=BoxSpec(d=2, L=2.0 * math.pi, N=8), t_end=0.004,
         particle_count=4,
+        init_profile=InitSpec(fluid="broadband",
+                              fluid_params={"xi_cut": 2.0, "u_rms": 0.4},
+                              particles="gaussian"),
         output=OutputSpec(dir=str(tmp_path / "out"), series="series.csv",
                           series_every_steps=1, snapshot_every_steps=2,
                           checkpoint_every_steps=2))
