@@ -120,10 +120,14 @@ def read_run_series(path):
     """The series a run wrote, or BadSeries naming the file.
 
     TimeseriesWriter ends every row with a newline, so a last row without
-    one was cut.
+    one was cut.  A file that is not UTF-8 text is not a series at all, and
+    read_timeseries names its first bad byte.
     """
-    raw = Path(path).read_bytes()
-    if raw and not raw.endswith(b"\n"):
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        text = ""
+    if text and not text.endswith("\n"):
         raise io.BadSeries(f"{path}: the last row is cut")
     return io.read_timeseries(path, diagnostics.csv_columns(2))
 

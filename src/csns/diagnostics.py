@@ -52,12 +52,18 @@ def total_momentum(state):
 def dissipation_terms(state, nu, u_phys):
     """(grad_rate, drag_rate, align_rate, alignment_gap) of the energy balance.
 
-    The drag channel interpolates |u|^2 separately from u, which is exactly
-    the rate the semi-discrete system dissipates through the exchange term;
-    it dominates the alignment gap, the relative kinetic energy
-    sum w_i |V_i - u(X_i)|^2, by the stencil's Jensen defect.  align_rate is
-    the raw double sum (the ledger halves it).  Every read uses the stencil
-    the moments were deposited with, and u is read at the particles once.
+    Deposit and interpolate are an exact adjoint pair, sum_i w_i F(X_i) =
+    dx^d <F, rho> (and so with j and w V), so the exchange rates are grid
+    inner products of the state's moments:
+
+        drag_rate  = dx^d (<rho, |u|^2> - 2 <j, u>) + sum w |V|^2
+        align_rate = 2 (sum w a(X) |V|^2 - dx^d <b, j>)
+
+    align_rate is the raw double sum (the ledger halves it): its term
+    sum w (K*e)(X) of the speed-squared density e equals sum w a(X) |V|^2
+    for the symmetric sampled kernel.  drag_rate dominates the alignment gap
+    sum w |V - u(X)|^2 by the stencil's Jensen defect.  The particles are
+    read for u and a only, on the stencil of the moments.
     """
     box = state.u.box
     grad = fluid.dissipation_rate(state.u.block, box, nu)
@@ -65,20 +71,14 @@ def dissipation_terms(state, nu, u_phys):
     if ens.n == 0:
         return grad, 0.0, 0.0, 0.0
     m = state.moments
-    stencil = m.stencil
-    u_at = particles.interpolate_velocity(u_phys, ens.X, box, stencil)
-    usq_at = particles.interpolate(np.sum(u_phys * u_phys, axis=0), ens.X,
-                                   box, stencil)
-    vsq = np.sum(ens.V * ens.V, axis=1)
-    drag = float(np.sum(ens.w * (usq_at - 2.0 * np.sum(u_at * ens.V, axis=1)
-                                 + vsq)))
-    a_at = particles.interpolate(m.a, ens.X, box, stencil)
-    b_at = particles.interpolate(m.b, ens.X, box, stencil).T
-    ce_at = particles.interpolate(m.c_e, ens.X, box, stencil)
-    align = float(np.sum(ens.w * (a_at * vsq
-                                  - 2.0 * np.sum(b_at * ens.V, axis=1)
-                                  + ce_at)))
-    diff = ens.V - u_at
+    cell = box.dx**box.d
+    wvsq = ens.w * np.sum(ens.V * ens.V, axis=1)
+    drag = float(cell * (np.vdot(m.rho, np.sum(u_phys * u_phys, axis=0))
+                         - 2.0 * np.vdot(m.j, u_phys)) + np.sum(wvsq))
+    a_at = particles.interpolate(m.a, ens.X, box, m.stencil)
+    align = float(2.0 * (np.dot(wvsq, a_at) - cell * np.vdot(m.b, m.j)))
+    diff = ens.V - particles.interpolate_velocity(u_phys, ens.X, box,
+                                                  m.stencil)
     gap = float(np.sum(ens.w * np.sum(diff * diff, axis=1)))
     return grad, drag, align, gap
 

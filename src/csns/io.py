@@ -278,6 +278,9 @@ def read_checkpoint(path):
     file.
     """
     with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":  # else np.load tries a pickle
+            raise BadCheckpoint(f"{path}: not a checkpoint archive")
+        fh.seek(0)
         try:
             with np.load(fh, allow_pickle=False) as npz:
                 version = int(npz["version"])

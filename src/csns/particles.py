@@ -10,11 +10,11 @@ with the periodized kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .domain import BoxSpec, KernelSpec, eval_phi
+from .domain import eval_phi
 
 
 @dataclass(eq=False)
@@ -37,29 +37,16 @@ class MomentFields:
     deposit_moments fills the weight density rho and the momentum density j
     and keeps the stencil it deposited with, so that every read at the same
     positions reuses it; convolve_kernel adds a = K*rho and b = K*j.  The
-    stepper reads nothing else.  The speed-squared density e and
-    c_e = K*e feed only the align-rate diagnostic, so each is built on its
-    first read.
+    stepper and the series row read nothing else: deposit and interpolate
+    are an exact adjoint pair, so a particle sum of a read field is a grid
+    inner product with rho or j.
     """
 
-    ens: ParticleEnsemble
-    box: BoxSpec
     stencil: tuple
     rho: np.ndarray
     j: np.ndarray
-    kernel: KernelSpec = None
     a: np.ndarray = None
     b: np.ndarray = None
-
-    @cached_property
-    def e(self):
-        ens = self.ens
-        return _deposit(self.stencil, ens.w * np.sum(ens.V * ens.V, axis=1),
-                        self.box)
-
-    @cached_property
-    def c_e(self):
-        return _smoothed(self.e, self.kernel, self.box)
 
 
 def wrap_positions(X, box):
@@ -137,7 +124,7 @@ def deposit_moments(ens, box):
     rho = _deposit(stencil, ens.w, box, contrib)
     j = np.stack([_deposit(stencil, ens.w * ens.V[:, a], box, contrib)
                   for a in range(ens.V.shape[1])])
-    return MomentFields(ens, box, stencil, rho, j)
+    return MomentFields(stencil, rho, j)
 
 
 @lru_cache(maxsize=32)
@@ -166,7 +153,7 @@ def convolve_kernel(m, kernel, box):
     """The moments with the smoothed interaction fields a = K*rho, b = K*j."""
     a = _smoothed(m.rho, kernel, box)
     b = np.stack([_smoothed(m.j[i], kernel, box) for i in range(m.j.shape[0])])
-    return replace(m, kernel=kernel, a=a, b=b)
+    return replace(m, a=a, b=b)
 
 
 def interpolate(field, X, box, stencil=None):

@@ -282,6 +282,28 @@ def test_resume_from_cut_checkpoint_exits_1(tmp_path, capsys, killed_run):
         assert str(path) in capsys.readouterr().err
 
 
+def snapshot_run(tmp_path):
+    """A finished run with snapshots; returns its series and snapshots."""
+    config_path, _ = write_config(
+        tmp_path,
+        output=OutputSpec(dir=str(tmp_path / "out"), series="series.csv",
+                          series_every_steps=5, snapshot_every_steps=10))
+    assert cli.main(["run", str(config_path)]) == 0
+    out = tmp_path / "out"
+    return out / "series.csv", sorted(out.glob("snapshot_*.csns"))
+
+
+def test_resume_from_a_file_that_is_not_a_checkpoint_exits_1(tmp_path,
+                                                              capsys):
+    series, snaps = snapshot_run(tmp_path)
+    capsys.readouterr()
+    for path in (series, snaps[0]):
+        assert cli.main(["run", "--resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not a checkpoint archive" in err
+        assert "pickle" not in err
+
+
 def test_resume_without_series_exits_1(tmp_path, capsys, killed_run):
     checkpoint, series = split_run(tmp_path, killed_run)
     series.unlink()
@@ -401,14 +423,8 @@ def test_verify_flags_bad_series(tmp_path, capsys):
 
 
 def test_verify_includes_snapshots(tmp_path, capsys):
-    config_path, cfg = write_config(
-        tmp_path,
-        output=OutputSpec(dir=str(tmp_path / "out"), series="series.csv",
-                          series_every_steps=5, snapshot_every_steps=10))
-    cli.main(["run", str(config_path)])
+    series, snaps = snapshot_run(tmp_path)
     capsys.readouterr()
-    series = tmp_path / "out" / "series.csv"
-    snaps = sorted((tmp_path / "out").glob("snapshot_*.csns"))
     assert len(snaps) == 2
     assert cli.main(["verify", str(series)] + [str(s) for s in snaps]) == 0
     out = capsys.readouterr().out
@@ -421,14 +437,8 @@ def test_verify_includes_snapshots(tmp_path, capsys):
 
 
 def test_verify_fails_cleanly_on_cut_snapshot(tmp_path, capsys):
-    config_path, cfg = write_config(
-        tmp_path,
-        output=OutputSpec(dir=str(tmp_path / "out"), series="series.csv",
-                          series_every_steps=5, snapshot_every_steps=10))
-    cli.main(["run", str(config_path)])
+    series, [snap, _] = snapshot_run(tmp_path)
     capsys.readouterr()
-    series = tmp_path / "out" / "series.csv"
-    snap = sorted((tmp_path / "out").glob("snapshot_*.csns"))[0]
     raw = snap.read_bytes()
     snap.write_bytes(raw[:len(raw) // 2 + 3])
     assert cli.main(["verify", str(series), str(snap)]) == 1
@@ -464,6 +474,13 @@ def test_verify_fails_cleanly_on_non_utf8_series(tmp_path, capsys):
     assert "not UTF-8" in assert_verify_fails_on(series, capsys)
 
 
+def test_verify_fails_cleanly_on_a_snapshot_given_as_the_series(tmp_path,
+                                                                capsys):
+    _, snaps = snapshot_run(tmp_path)
+    capsys.readouterr()
+    assert "not UTF-8 text" in assert_verify_fails_on(snaps[-1], capsys)
+
+
 def test_verify_fails_cleanly_on_missing_columns(tmp_path, capsys):
     path = tmp_path / "decay.csv"
     path.write_text("t,E\n0.0,1.0\n0.1,0.9\n")
@@ -479,15 +496,10 @@ def test_verify_fails_cleanly_on_series_cut_mid_row(tmp_path, capsys):
 
 
 def test_verify_still_checks_snapshots_of_a_bad_series(tmp_path, capsys):
-    config_path, _ = write_config(
-        tmp_path,
-        output=OutputSpec(dir=str(tmp_path / "out"), series="series.csv",
-                          series_every_steps=5, snapshot_every_steps=10))
-    cli.main(["run", str(config_path)])
+    _, [snap, _] = snapshot_run(tmp_path)
     capsys.readouterr()
     empty = tmp_path / "empty.csv"
     empty.write_bytes(b"")
-    snap = sorted((tmp_path / "out").glob("snapshot_*.csns"))[0]
     assert cli.main(["verify", str(empty), str(snap)]) == 1
     out = capsys.readouterr().out
     rows = [line.split()[:2] for line in out.splitlines()]

@@ -377,35 +377,67 @@ def test_coupled_row_reads_the_velocity_at_the_particles_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_align_rate_reads_the_energy_moment_of_a_full_deposit():
-    # e and c_e are built on first read; they carry the bits of the
-    # one-pass deposit and convolution of every moment
+def test_row_deposits_and_convolves_nothing(monkeypatch):
+    # the rates are inner products of the state's own moments, read on the
+    # stencil they were deposited with
     box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
-    kernel = KernelSpec(kind="inverse_power", beta=2.0)
-    rng = np.random.Generator(np.random.PCG64(22))
-    n = 50
+    rng = np.random.Generator(np.random.PCG64(24))
+    n = 40
     state = make_state(box, 0.3 * rng.standard_normal((2,) + box.shape),
                        X=rng.uniform(0.0, box.L, (n, 2)),
                        V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
+                       kernel=KernelSpec(kind="inverse_power", beta=2.0))
+    calls = {}
+    for name in ("_deposit", "_smoothed", "cic_stencil"):
+        def counted(*args, _name=name, _original=getattr(particles, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(particles, name, counted)
+    rec = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0)
+    rec.record(state, diagnostics.energy(state))
+    assert calls == {"_deposit": 0, "_smoothed": 0, "cic_stencil": 0}
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec(kind="constant"),
+                                    KernelSpec(kind="inverse_power", beta=2.0)],
+                         ids=["constant", "inverse_power"])
+@pytest.mark.parametrize("d, N", [(2, 16), (3, 8)], ids=["2d", "3d"])
+def test_rates_match_the_particle_read_reference(d, N, kernel):
+    # the reference reads |u|^2 at the particles and deposits and smooths
+    # the speed-squared density e; with a symmetric sampled kernel the
+    # adjoint pair turns both rates into grid inner products of the moments
+    box = BoxSpec(d=d, L=2.0 * math.pi, N=N)
+    rng = np.random.Generator(np.random.PCG64(22))
+    n = 60
+    state = make_state(box, 0.3 * rng.standard_normal((d,) + box.shape),
+                       X=rng.uniform(0.0, box.L, (n, d)),
+                       V=rng.standard_normal((n, d)), w=rng.uniform(0.5, 1.5, n) / n,
                        kernel=kernel)
     m, ens = state.moments, state.ens
-    assert "e" not in vars(m) and "c_e" not in vars(m)
+    u = state.u.values()
+    vsq = np.sum(ens.V * ens.V, axis=1)
     flat, wts = m.stencil
-    contrib = wts * (ens.w * np.sum(ens.V * ens.V, axis=1))[:, None]
-    e_ref = np.bincount(flat.ravel(), weights=contrib.ravel(),
-                        minlength=box.N**2).reshape(box.shape) \
-        * (1.0 / box.dx**2)
-    ce_ref = np.fft.irfftn(
-        box.volume * particles.kernel_hat(kernel, box)
-        * np.fft.rfftn(e_ref, norm="forward"),
-        s=box.shape, axes=(0, 1), norm="forward")
-    eager = SimpleNamespace(t=state.t, u=state.u, ens=ens,
-                            moments=SimpleNamespace(stencil=m.stencil, a=m.a,
-                                                    b=m.b, c_e=ce_ref))
-    row = one_row(state)
-    assert np.array_equal(m.e, e_ref)
-    assert np.array_equal(m.c_e, ce_ref)
-    assert row["align_rate"] == row_terms(eager)[2]
+    contrib = wts * (ens.w * vsq)[:, None]
+    e = np.bincount(flat.ravel(), weights=contrib.ravel(),
+                    minlength=box.N**d).reshape(box.shape) / box.dx**d
+    c_e = np.fft.irfftn(box.volume * particles.kernel_hat(kernel, box)
+                        * np.fft.rfftn(e, norm="forward"),
+                        s=box.shape, axes=tuple(range(d)), norm="forward")
+
+    def read(field):
+        return particles.interpolate(field, ens.X, box, m.stencil)
+
+    u_at, b_at = read(u).T, read(m.b).T
+    drag = np.sum(ens.w * (read(np.sum(u * u, axis=0))
+                           - 2.0 * np.sum(u_at * ens.V, axis=1) + vsq))
+    align = np.sum(ens.w * (read(m.a) * vsq
+                            - 2.0 * np.sum(b_at * ens.V, axis=1) + read(c_e)))
+    _, drag_rate, align_rate, _ = row_terms(state)
+    assert drag_rate == pytest.approx(drag, rel=1e-14, abs=0.0)
+    assert align_rate == pytest.approx(align, rel=1e-14, abs=0.0)
 
 
 def test_particle_free_row_reads_zero_density():

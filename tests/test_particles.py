@@ -76,15 +76,13 @@ def test_deposit_conserves_particle_sums(seed):
     assert np.sum(m.rho) * cell == pytest.approx(np.sum(ens.w), rel=1e-13)
     assert np.sum(m.j, axis=(1, 2)) * cell == pytest.approx(
         ens.w @ ens.V, rel=1e-12, abs=1e-14)
-    assert np.sum(m.e) * cell == pytest.approx(
-        np.sum(ens.w * np.sum(ens.V**2, axis=1)), rel=1e-13)
 
 
 def test_deposit_empty_ensemble():
     ens = particles.ParticleEnsemble(np.zeros((0, 2)), np.zeros((0, 2)),
                                      np.zeros(0))
     m = particles.deposit_moments(ens, BOX)
-    assert np.all(m.rho == 0) and np.all(m.j == 0) and np.all(m.e == 0)
+    assert np.all(m.rho == 0) and np.all(m.j == 0)
 
 
 @settings(deadline=None, max_examples=25)
@@ -204,8 +202,6 @@ def test_convolve_constant_kernel_gives_integrals():
     mom = ens.w @ ens.V
     for i in range(BOX.d):
         assert np.allclose(m.b[i], mom[i], atol=1e-14)
-    assert np.allclose(m.c_e, np.sum(ens.w * np.sum(ens.V**2, axis=1)),
-                       rtol=1e-13)
 
 
 def test_convolve_single_particle_matches_direct_kernel():
