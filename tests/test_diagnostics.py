@@ -414,8 +414,8 @@ def test_rates_match_the_particle_read_reference(d, N, kernel):
     n = 60
     state = make_state(box, 0.3 * rng.standard_normal((d,) + box.shape),
                        X=rng.uniform(0.0, box.L, (n, d)),
-                       V=rng.standard_normal((n, d)), w=rng.uniform(0.5, 1.5, n) / n,
-                       kernel=kernel)
+                       V=rng.standard_normal((n, d)),
+                       w=rng.uniform(0.5, 1.5, n) / n, kernel=kernel)
     m, ens = state.moments, state.ens
     u = state.u.values()
     vsq = np.sum(ens.V * ens.V, axis=1)
