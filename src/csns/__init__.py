@@ -15,7 +15,6 @@ from .domain import (
     SimConfig,
     eval_phi,
     validate_config,
-    wavenumbers,
 )
 from .driver import SimState, SimulationUnstable, resume_run, run
 from .io import parse_config, read_snapshot, read_timeseries, serialize_config

@@ -13,7 +13,16 @@ import numpy as np
 
 from . import diagnostics, driver, fluid, initial, io, oracle
 from .diagnostics import CheckResult
-from .domain import BoxSpec, ConfigError, KernelSpec
+from .domain import BoxSpec, ConfigError, KernelSpec, validate_config
+
+
+def positive_number(text):
+    """argparse type: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, not {text!r}")
+    return value
 
 
 def build_parser():
@@ -44,9 +53,9 @@ def build_parser():
                        metavar=("T_MIN", "T_MAX"))
     fit_p.add_argument("--column", default="E",
                        help="energy column to fit (default E)")
-    fit_p.add_argument("--box-length", type=float,
+    fit_p.add_argument("--box-length", type=positive_number,
                        help="box side, enables the validity-time warning")
-    fit_p.add_argument("--viscosity", type=float, default=1.0)
+    fit_p.add_argument("--viscosity", type=positive_number, default=1.0)
 
     sub.add_parser("oracle-check",
                    help="cross-validate the closed-form references")
@@ -72,7 +81,7 @@ def cmd_run(args):
                 cfg = dataclasses.replace(
                     cfg, output=dataclasses.replace(cfg.output,
                                                     dir=args.output_dir))
-            result = driver.run(cfg)
+            result = driver.run(validate_config(cfg))  # the overrides too
     except driver.SimulationUnstable as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return 1
@@ -240,10 +249,11 @@ def oracle_checks():
 
     hb = BoxSpec(d=2, L=2.0 * math.pi, N=16)
     c0 = initial.broadband_field(hb, xi_cut=3.5, u_rms=1e-9, seed=4)
-    ch = fluid.to_block(c0, hb)
+    ch = c0
     for _ in range(50):
         ch = fluid.ns_step(ch, hb, 1.0, 1e-3)
-    _, l2sq_heat = oracle.heat_decay_reference(c0, hb, 0.05, 1.0)
+    _, l2sq_heat = oracle.heat_decay_reference(fluid.from_block(c0, hb), hb,
+                                               0.05, 1.0)
     heat_err = abs(fluid.spectral_l2sq(ch, hb) - l2sq_heat) \
         / fluid.spectral_l2sq(c0, hb)
     checks.append(CheckResult("small_amplitude_heat_decay", heat_err < 1e-8,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -270,7 +269,7 @@ def validate_config(cfg):
         errors.append(("init_profile.fluid",
                        "taylor_green requires d=2 and L=2*pi"))
     if fp + "xi_cut" in good and "box.L" in good:
-        # |xi|^2 as wavenumbers builds it, so that broadband_field agrees
+        # |xi|^2 as retained_block builds it, so that broadband_field agrees
         scale, cut = TWO_PI / box.L, good[fp + "xi_cut"]
         if scale * scale > cut * cut:
             errors.append((fp + "xi_cut", f"must be >= 2*pi/L = {scale:.6g}"))
@@ -299,58 +298,3 @@ def validate_config(cfg):
         raise ConfigError(errors)
     return cfg
 
-
-def full_order_indices(N):
-    """Per-axis integer modes in transform order: 0, 1, ..., N/2, -N/2+1, ..., -1."""
-    k = np.arange(N)
-    return np.where(k <= N // 2, k, k - N)
-
-
-@dataclass(eq=False)
-class WavenumberGrid:
-    """Wavenumber tables on the half-spectrum (rfft) layout.
-
-    The xi arrays broadcast against the (N, ..., N//2+1) layout, as do the
-    Parseval multiplicities, a row along the last axis; the |xi|^2 table and
-    the 2/3 dealias mask fill it.
-    """
-
-    box: BoxSpec
-    xi: tuple
-    xi_sq: np.ndarray
-    inv_xi_sq: np.ndarray
-    parseval_weight: np.ndarray
-    dealias: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def wavenumbers(box):
-    """Build the WavenumberGrid for a box (cached; one table per geometry).
-
-    Every array of the grid is read-only, since all callers share it.
-    """
-    d, N = box.d, box.N
-    scale = TWO_PI / box.L
-    half = np.arange(N // 2 + 1)
-    xi, mask = [], np.ones(box.spectral_shape, dtype=bool)
-    for a, idx in enumerate([full_order_indices(N)] * (d - 1) + [half]):
-        shape = [1] * d
-        shape[a] = len(idx)
-        xi.append((scale * idx).reshape(shape))
-        mask &= (np.abs(idx) <= N // 3).reshape(shape)
-    xi = tuple(xi)
-
-    xi_sq = np.zeros(box.spectral_shape)
-    for a in range(d):
-        xi_sq = xi_sq + xi[a] ** 2
-    inv = np.zeros_like(xi_sq)
-    nz = xi_sq > 0
-    inv[nz] = 1.0 / xi_sq[nz]
-
-    weight = np.ones(N // 2 + 1)
-    weight[1:N // 2] = 2.0  # interior last-axis modes stand for a conjugate pair
-    weight = weight.reshape((1,) * (d - 1) + (N // 2 + 1,))
-
-    for arr in (*xi, xi_sq, inv, weight, mask):
-        arr.setflags(write=False)
-    return WavenumberGrid(box, xi, xi_sq, inv, weight, mask)

@@ -114,8 +114,7 @@ def initial_state(cfg):
     c = initial.fluid_initial(cfg.init_profile, cfg.box, fluid_seed)
     ens = particles.sample_initial(cfg.init_profile, cfg.particle_count,
                                    cfg.r0, cfg.box, particle_seed)
-    state = SimState(0.0, 0, fluid.VelocityField.from_spectrum(cfg.box, c),
-                     ens)
+    state = SimState(0.0, 0, fluid.VelocityField(cfg.box, c), ens)
     ensure_moments(state, cfg.kernel, cfg.box)
     return state
 

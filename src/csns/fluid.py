@@ -2,16 +2,16 @@
 
 Fourier coefficients use the 'forward' normalization, so the zero mode is
 the spatial mean.  Physical arrays have shape (d, N, ..., N);
-forward_transform and inverse_transform work on the whole half spectrum,
-shape (d, N, ..., N//2+1).  The flow itself lives on the retained block,
-the modes the 2/3 rule keeps (retained_block): every mode off it is
+forward_transform makes the whole half spectrum, shape (d, N, ..., N//2+1).
+The flow lives on the retained block, the modes the 2/3 rule keeps
+(retained_block), the program's one spectral layout: every mode off it is
 exactly zero, so a velocity (VelocityField), the right-hand side
-(nonlinear_term), the Heun stages (if_heun) and the Parseval sums hold and
-read only the block, shape (d, R, ..., C) with R = 2 (N//3) + 1 rows per
-leading axis and C = N//3 + 1 columns, 30% of the half spectrum at 64^3.
-to_block and from_block cut a half spectrum to the block and scatter a
-block back; the norms, the projection and the divergence below take
-either layout and read it off the array's shape.
+(nonlinear_term), the Heun stages (if_heun), the norms, the projection and
+the divergence hold and read only the block, shape (d, R, ..., C) with
+R = 2 (N//3) + 1 rows per leading axis and C = N//3 + 1 columns, 30% of
+the half spectrum at 64^3.  to_block and from_block cut a half spectrum to
+the block and scatter a block back, for the checkpoint, which stores the
+half spectrum.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .domain import BoxSpec, wavenumbers
+from .domain import TWO_PI, BoxSpec
 
 
 def forward_transform(u, box):
@@ -36,22 +36,21 @@ def forward_transform(u, box):
     return np.fft.rfftn(u, axes=tuple(range(-box.d, 0)), norm="forward")
 
 
-def inverse_transform(c, box):
-    """rfft coefficients back to physical samples."""
-    return np.fft.irfftn(c, s=box.shape, axes=tuple(range(-box.d, 0)),
-                         norm="forward")
-
-
 @dataclass(eq=False)
 class RetainedBlock:
     """The modes the 2/3 rule keeps, one block of the half spectrum.
 
-    The block is the same retained rows (0..N/3 and N-N/3..N-1) of each
-    leading axis and the first cols columns (0..N/3) of the last; shape is
-    the block's shape and index the np.ix_ index that cuts it out of a
-    half spectrum.  xi, xi_sq, inv_xi_sq and parseval_weight are the
-    wavenumber tables cut to it, i_xi the products 1j * xi.  runs pairs the
-    block slice and the spectrum slice of each run of consecutive rows.
+    The block is the same retained rows (modes 0..N/3, then -N/3..-1, at
+    half-spectrum rows 0..N/3 and N-N/3..N-1) of each leading axis and the
+    first cols columns (modes 0..N/3) of the last; shape is the block's
+    shape and index the np.ix_ index that cuts it out of a half spectrum.
+    xi holds the wavenumber 2 pi k / L of each axis, broadcasting against
+    the block, i_xi the products 1j * xi, xi_sq and inv_xi_sq |xi|^2 and
+    its inverse (0 at the mean) over the block, and parseval_weight the
+    Parseval multiplicities, a row along the last axis: 2 on the columns
+    past 0, which stand for a conjugate pair, since the Nyquist column is
+    not kept.  runs pairs the block slice and the spectrum slice of each
+    run of consecutive rows.
     """
 
     rows: np.ndarray
@@ -68,23 +67,25 @@ class RetainedBlock:
 
 @lru_cache(maxsize=32)
 def retained_block(box):
-    """The RetainedBlock of a box, read off its dealias mask (cached; every
-    array is read-only)."""
-    grid = wavenumbers(box)
-    per_axis = [np.flatnonzero(grid.dealias.any(
-        axis=tuple(b for b in range(box.d) if b != a))) for a in range(box.d)]
-    rows, cols = per_axis[0], len(per_axis[-1])
-    index = np.ix_(*per_axis)
-    xi = tuple(np.take(grid.xi[a], per_axis[a], axis=a) for a in range(box.d))
-    ends = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1), len(rows)]
-    runs = tuple((slice(lo, hi), slice(int(rows[lo]), int(rows[hi - 1]) + 1))
-                 for lo, hi in zip(ends, ends[1:]))
-    block = RetainedBlock(
-        rows, cols, tuple(len(k) for k in per_axis), index, xi,
-        tuple(1j * x for x in xi), grid.xi_sq[index], grid.inv_xi_sq[index],
-        grid.parseval_weight[..., :cols], runs)
-    for arr in (rows, *index, *xi, *block.i_xi, block.xi_sq, block.inv_xi_sq,
-                block.parseval_weight):
+    """The RetainedBlock of a box, built from the mode numbers |k| <= N//3
+    of each axis (cached; every array is read-only)."""
+    d, N, top = box.d, box.N, box.N // 3
+    modes = np.r_[0:top + 1, -top:0]
+    rows, cols = modes % N, top + 1
+    index = np.ix_(*[rows] * (d - 1), np.arange(cols))
+    xi = tuple(TWO_PI / box.L * k for k in np.ix_(*[modes] * (d - 1),
+                                                  np.arange(cols)))
+    xi_sq = sum(x**2 for x in xi)
+    inv_xi_sq = np.divide(1.0, xi_sq, out=np.zeros_like(xi_sq),
+                          where=xi_sq > 0)
+    weight = np.full((1,) * (d - 1) + (cols,), 2.0)
+    weight[..., 0] = 1.0
+    runs = ((slice(0, top + 1), slice(0, top + 1)),
+            (slice(top + 1, len(rows)), slice(N - top, N)))
+    block = RetainedBlock(rows, cols, xi_sq.shape, index, xi,
+                          tuple(1j * x for x in xi), xi_sq, inv_xi_sq,
+                          weight, runs)
+    for arr in (rows, *index, *xi, *block.i_xi, xi_sq, inv_xi_sq, weight):
         arr.setflags(write=False)
     return block
 
@@ -102,13 +103,6 @@ def from_block(b, box):
     return c
 
 
-def _tables(c, box):
-    """The wavenumber tables of the layout of c: the RetainedBlock when c
-    has the block's shape, else the WavenumberGrid of the half spectrum."""
-    block = retained_block(box)
-    return block if c.shape[-box.d:] == block.shape else wavenumbers(box)
-
-
 @dataclass(eq=False)
 class VelocityField:
     """Spectral velocity passed around by the driver and the writers.
@@ -120,17 +114,12 @@ class VelocityField:
     box: BoxSpec
     block: np.ndarray
 
-    @classmethod
-    def from_spectrum(cls, box, c):
-        """The field of the half spectrum c, cut to the retained block."""
-        return cls(box, to_block(c, box))
-
     @property
     def c(self):
         return from_block(self.block, self.box)
 
     def values(self):
-        """The physical samples, bit for bit inverse_transform(self.c)."""
+        """The physical samples, bit for bit np.fft.irfftn of self.c."""
         return block_values(self.block, self.box)
 
 
@@ -142,8 +131,8 @@ def _parseval_sum(c, table, scale):
 
 
 def spectral_l2sq(c, box):
-    """Squared L2 norm over the box via Parseval, c on either layout."""
-    return _parseval_sum(c, _tables(c, box).parseval_weight, box.volume)
+    """Squared L2 norm over the box via Parseval."""
+    return _parseval_sum(c, retained_block(box).parseval_weight, box.volume)
 
 
 def kinetic_energy(c, box):
@@ -153,15 +142,15 @@ def kinetic_energy(c, box):
 
 def dissipation_rate(c, box, nu=1.0):
     """Viscous rate nu * ||grad u||^2."""
-    grid = _tables(c, box)
-    return _parseval_sum(c, grid.parseval_weight * grid.xi_sq,
+    block = retained_block(box)
+    return _parseval_sum(c, block.parseval_weight * block.xi_sq,
                          nu * box.volume)
 
 
 def low_freq_energy(c, box, r):
     """||u||^2 restricted to the closed ball of modes with |xi| <= r."""
-    grid = _tables(c, box)
-    return _parseval_sum(c, grid.parseval_weight * (grid.xi_sq <= r * r),
+    block = retained_block(box)
+    return _parseval_sum(c, block.parseval_weight * (block.xi_sq <= r * r),
                          box.volume)
 
 
@@ -190,17 +179,17 @@ def _project_into(c, xi, inv_xi_sq, out, div, tmp):
 
 def leray_project(c, box):
     """Remove the gradient part: c - xi (xi . c) / |xi|^2, identity on the
-    mean; c on either layout."""
-    grid = _tables(c, box)
+    mean."""
+    block = retained_block(box)
     div = np.empty(c.shape[1:], dtype=complex)
-    return _project_into(c, grid.xi, grid.inv_xi_sq,
+    return _project_into(c, block.xi, block.inv_xi_sq,
                          np.empty(c.shape, dtype=complex), div,
                          np.empty_like(div))
 
 
 def max_divergence(c, box):
     """Spectral sup of |xi . c|; zero for a solenoidal field."""
-    return float(np.max(np.abs(_xi_dot(c, _tables(c, box).xi))))
+    return float(np.max(np.abs(_xi_dot(c, retained_block(box).xi))))
 
 
 # Rows of axis 0 per chunk of the block transforms: about 2^15 grid points,
@@ -482,8 +471,8 @@ def _inverse_jobs(c, u):
 
 def block_values(c, box):
     """The physical samples of the block coefficients c, bit for bit
-    inverse_transform(from_block(c, box), box): one block inverse per
-    component, on the lanes."""
+    np.fft.irfftn of from_block(c, box): one block inverse per component,
+    on the lanes."""
     u = np.empty((len(c),) + box.shape)
     pool = _lane_pool(box)
     _run_lanes(_inverse_jobs(c, u), pool, box)
@@ -530,9 +519,10 @@ def pressure_solve(c, box, h=None):
     """Pressure balancing the divergence of -(u . grad) u + h (mean set to
     zero), both dealiased; c is on the block, h an optional body force on
     the grid."""
-    grid = wavenumbers(box)
-    g = from_block(_right_hand_side(c, box, False, h, None), box)
-    return inverse_transform(-1j * _xi_dot(g, grid.xi) * grid.inv_xi_sq, box)
+    block = retained_block(box)
+    g = _right_hand_side(c, box, False, h, None)
+    p = -1j * _xi_dot(g, block.xi) * block.inv_xi_sq
+    return block_values(p[None], box)[0]
 
 
 @lru_cache(maxsize=4)
@@ -593,8 +583,7 @@ def ns_step(c, box, nu, dt, h=None):
 
 
 def fluid_momentum(c, box):
-    """Integral of u over the box (volume times the mean mode), c on either
-    layout."""
+    """Integral of u over the box (volume times the mean mode)."""
     mean_mode = c[(Ellipsis,) + (0,) * box.d]
     return box.volume * np.real(mean_mode)
 

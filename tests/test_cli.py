@@ -62,6 +62,17 @@ def test_run_seed_and_output_dir_overrides(tmp_path):
     assert not np.array_equal(ea, eb)
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "100000000000000000000000"])
+def test_run_seed_override_out_of_range_exits_2(tmp_path, capsys, seed):
+    # the override is validated like the configured seed, before anything
+    # is written, so no run leaves checkpoints its own resume rejects
+    config_path, _ = write_config(tmp_path)
+    assert cli.main(["run", str(config_path), "--seed", seed]) == 2
+    assert "config error at seed: must be a 64-bit unsigned integer" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_requires_config_or_resume(tmp_path, capsys):
     assert cli.main(["run"]) == 2
     assert "required" in capsys.readouterr().err
@@ -527,6 +538,21 @@ def test_fit_decay_window_failure_exits_1(tmp_path, capsys):
     path.write_text("t,E\n0.0,1.0\n0.1,0.9\n")
     assert cli.main(["fit-decay", str(path), "--window", "0", "1"]) == 1
     assert "need >= 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--viscosity", "0"), ("--viscosity", "-1"), ("--viscosity", "nan"),
+    ("--box-length", "0"), ("--box-length", "inf"), ("--box-length", "x")])
+def test_fit_decay_rejects_a_bad_viscosity_or_box_length(tmp_path, capsys,
+                                                         option, value):
+    path = tmp_path / "decay.csv"
+    path.write_text("t,E\n" + "".join(f"{t},{(1 + t) ** -1.5}\n"
+                                      for t in range(60)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit-decay", str(path), "--window", "5", "50",
+                  "--viscosity", "1", "--box-length", "6.28", option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err
 
 
 def test_oracle_check_passes(capsys):

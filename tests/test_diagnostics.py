@@ -19,7 +19,7 @@ def make_state(box, u_values, X, V, w, kernel, t=0.0):
                                      np.asarray(w, float))
     m = particles.convolve_kernel(particles.deposit_moments(ens, box),
                                   kernel, box)
-    vf = fluid.VelocityField.from_spectrum(box, fluid.forward_transform(u_values, box))
+    vf = fluid.VelocityField(box, fluid.to_block(fluid.forward_transform(u_values, box), box))
     return SimpleNamespace(t=t, u=vf, ens=ens, moments=m)
 
 
@@ -443,7 +443,7 @@ def test_rates_match_the_particle_read_reference(d, N, kernel):
 def test_particle_free_row_reads_zero_density():
     box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
     u, _, _ = oracle.taylor_green(box)
-    vf = fluid.VelocityField.from_spectrum(box, fluid.forward_transform(u, box))
+    vf = fluid.VelocityField(box, fluid.to_block(fluid.forward_transform(u, box), box))
     state = SimpleNamespace(t=0.0, u=vf,
                             ens=particles.ParticleEnsemble(
                                 np.zeros((0, 2)), np.zeros((0, 2)),

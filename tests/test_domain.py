@@ -12,11 +12,10 @@ from csns.domain import (
     OutputSpec,
     SimConfig,
     eval_phi,
-    full_order_indices,
     phi_slope_max,
     validate_config,
-    wavenumbers,
 )
+from csns.fluid import retained_block
 
 
 def make_config(**overrides):
@@ -194,48 +193,37 @@ def test_validate_accepts_sigma_v_at_r0():
     validate_config(make_config(particle_count=8, r0=1.5, init_profile=init))
 
 
-def test_full_order_indices():
-    assert full_order_indices(4).tolist() == [0, 1, 2, -1]
-    assert full_order_indices(8).tolist() == [0, 1, 2, 3, 4, -3, -2, -1]
-
-
-@given(st.sampled_from([8, 16, 32, 64]))
-def test_index_order_round_trips_through_fft(N):
-    # the stated order must agree with numpy's own layout up to the Nyquist sign
-    ours = full_order_indices(N)
-    numpys = np.fft.fftfreq(N, d=1.0 / N)
-    assert np.all((ours == numpys) | (np.abs(ours) == N // 2))
-
-
 def test_wavenumbers_tables():
-    box = BoxSpec(2, 2 * math.pi, 4)
-    grid = wavenumbers(box)
+    box = BoxSpec(2, 2 * math.pi, 8)
+    block = retained_block(box)
     # on the 2*pi box the wavenumbers are the integer modes
-    assert grid.xi[0].ravel().tolist() == [0, 1, 2, -1]
-    assert grid.xi[1].ravel().tolist() == [0, 1, 2]
-    assert grid.xi_sq.shape == (4, 3)
-    assert grid.xi_sq[0, 0] == 0.0
-    assert grid.inv_xi_sq[0, 0] == 0.0
-    assert grid.xi_sq[1, 1] == pytest.approx(2.0)
-    assert grid.inv_xi_sq[1, 1] == pytest.approx(0.5)
-    # conjugate-pair multiplicity: doubled only away from column 0 and Nyquist
-    assert grid.parseval_weight[0, 0] == 1.0
-    assert grid.parseval_weight[0, 1] == 2.0
-    assert grid.parseval_weight[0, 2] == 1.0
+    assert block.xi[0].ravel().tolist() == [0, 1, 2, -2, -1]
+    assert block.xi[1].ravel().tolist() == [0, 1, 2]
+    assert block.xi_sq.shape == block.shape == (5, 3)
+    assert block.xi_sq[0, 0] == 0.0
+    assert block.inv_xi_sq[0, 0] == 0.0
+    assert block.xi_sq[1, 1] == pytest.approx(2.0)
+    assert block.inv_xi_sq[1, 1] == pytest.approx(0.5)
+    # conjugate-pair multiplicity: doubled away from column 0; the Nyquist
+    # column, which stands alone, is not on the block
+    assert block.parseval_weight.tolist() == [[1.0, 2.0, 2.0]]
 
 
 def test_wavenumbers_scales_with_box_length():
-    grid = wavenumbers(BoxSpec(2, 4 * math.pi, 8))
-    assert grid.xi[0].ravel()[1] == pytest.approx(0.5)
+    block = retained_block(BoxSpec(2, 4 * math.pi, 8))
+    assert block.xi[0].ravel()[1] == pytest.approx(0.5)
 
 
 def test_dealias_mask_cuts_high_modes():
-    grid = wavenumbers(BoxSpec(2, 2 * math.pi, 8))
-    keep = grid.dealias
-    # keep |index| <= 2 on both axes for N = 8
-    assert keep[0, 0] and keep[2, 2] and keep[-2, 1]
-    assert not keep[3, 0] and not keep[0, 3] and not keep[4, 2]
+    block = retained_block(BoxSpec(2, 2 * math.pi, 8))
+    # keep |index| <= 2 on both axes for N = 8: rows 3, 4 and 5 (modes 3, 4
+    # and -3) and columns 3 and 4 are cut
+    assert block.rows.tolist() == [0, 1, 2, 6, 7]
+    assert block.cols == 3
+    assert [r.tolist() for r in np.broadcast_arrays(*block.index)] == [
+        [[0] * 3, [1] * 3, [2] * 3, [6] * 3, [7] * 3], [[0, 1, 2]] * 5]
 
 
 def test_wavenumbers_cached():
-    assert wavenumbers(BoxSpec(2, 1.0, 8)) is wavenumbers(BoxSpec(2, 1.0, 8))
+    assert retained_block(BoxSpec(2, 1.0, 8)) is \
+        retained_block(BoxSpec(2, 1.0, 8))

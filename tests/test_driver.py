@@ -1,13 +1,17 @@
 """Coupled stepper and run orchestration checks."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from csns import diagnostics, driver, fluid, initial, io, oracle, particles
+from csns import (diagnostics, driver, fluid, initial, io, oracle, particles,
+                  presets)
 from csns.domain import (BoxSpec, ConfigError, InitSpec, KernelSpec,
-                         OutputSpec, SimConfig, validate_config, wavenumbers)
+                         OutputSpec, SimConfig, validate_config)
+from conftest import half_spectrum_tables
 
 BOX2 = BoxSpec(d=2, L=2.0 * math.pi, N=16)
 
@@ -203,24 +207,41 @@ def test_small_amplitude_flow_follows_heat_decay(tmp_path):
         state = driver.coupled_step(state, cfg, cfg.dt)
     ref, _ = oracle.heat_decay_reference(c0, cfg.box, steps * cfg.dt,
                                          cfg.viscosity)
-    grid = __import__("csns.domain", fromlist=["wavenumbers"]) \
-        .wavenumbers(cfg.box)
-    exact = c0 * np.exp(-cfg.viscosity * grid.xi_sq * steps * cfg.dt)
+    xi_sq = half_spectrum_tables(cfg.box).xi_sq
+    exact = c0 * np.exp(-cfg.viscosity * xi_sq * steps * cfg.dt)
     err = np.max(np.abs(state.u.c - exact)) / np.max(np.abs(c0))
     assert err < 1e-7
+
+
+def test_initial_state_builds_no_whole_spectrum_table(tmp_path):
+    # with the tables cached, set-up holds the noise, its transform and the
+    # block state: a field projected and normalised on the whole half
+    # spectrum, with its tables, peaked at 4.3 half spectra
+    cfg = presets.decay3d(tmp_path)
+    cfg = validate_config(dataclasses.replace(
+        cfg, box=dataclasses.replace(cfg.box, N=32)))
+    driver.initial_state(cfg)
+    tracemalloc.start()
+    try:
+        driver.initial_state(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    half_spectrum = 16 * 3 * math.prod(cfg.box.spectral_shape)
+    assert peak <= 3.5 * half_spectrum, peak / half_spectrum
 
 
 def test_adaptive_dt_value():
     u = np.zeros((2,) + BOX2.shape)
     u[0] = 2.0
     state = driver.SimState(
-        0.0, 0, fluid.VelocityField.from_spectrum(BOX2, fluid.forward_transform(u, BOX2)),
+        0.0, 0, fluid.VelocityField(BOX2, fluid.to_block(fluid.forward_transform(u, BOX2), BOX2)),
         particles.ParticleEnsemble(np.zeros((0, 2)), np.zeros((0, 2)),
                                    np.zeros(0)))
     got = driver.adaptive_dt(state, 0.5, BOX2)
     assert got == pytest.approx(0.5 * BOX2.dx / 2.0)
-    state.u = fluid.VelocityField.from_spectrum(
-        BOX2, fluid.forward_transform(np.zeros((2,) + BOX2.shape), BOX2))
+    state.u = fluid.VelocityField(BOX2, np.zeros(
+        (2,) + fluid.retained_block(BOX2).shape, dtype=complex))
     assert driver.adaptive_dt(state, 0.5, BOX2) == pytest.approx(0.5)
 
 
@@ -371,14 +392,14 @@ def test_coupled_energy_is_the_physical_energy(tmp_path):
     state = driver.initial_state(cfg)
     for _ in range(50):
         state = driver.coupled_step(state, cfg, cfg.dt)
-    e = fluid.kinetic_energy(state.u.c, cfg.box)
+    e = fluid.kinetic_energy(state.u.block, cfg.box)
     assert abs(e - physical_energy(state)) <= 1e-14 * e
 
 
 def test_coupled_run_from_off_block_data_passes_verification(tmp_path):
-    # on 8^2 a cut of 3.5 gives the broadband field modes the 2/3 rule
-    # drops: validate_config refuses it, and a state made without that
-    # check is cut to the retained block and runs
+    # on 8^2 a cut of 3.5 reaches modes the 2/3 rule drops: validate_config
+    # refuses it, and a state made without that check holds the part of
+    # the ball on the retained block, and runs
     box = BoxSpec(d=2, L=2.0 * math.pi, N=8)
     cfg = coupled_config(
         tmp_path, box=box, particle_count=64, t_end=0.5,
@@ -389,10 +410,10 @@ def test_coupled_run_from_off_block_data_passes_verification(tmp_path):
                           series_every_steps=5))
     with pytest.raises(ConfigError, match="xi_cut"):
         validate_config(cfg)
-    off = ~wavenumbers(box).dealias
+    off = ~half_spectrum_tables(box).dealias
     fluid_seed = np.random.SeedSequence(cfg.seed).spawn(2)[0]
-    assert np.any(initial.fluid_initial(cfg.init_profile, box,
-                                        fluid_seed)[:, off] != 0)
+    assert initial.fluid_initial(cfg.init_profile, box, fluid_seed).shape \
+        == (2,) + fluid.retained_block(box).shape
     assert not np.any(driver.initial_state(cfg).u.c[:, off])
     res = driver.run(cfg)
     checks = diagnostics.verify_timeseries(io.read_timeseries(res.series_path))

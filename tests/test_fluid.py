@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csns.domain import (BoxSpec, InitSpec, KernelSpec, OutputSpec, SimConfig,
-                         wavenumbers)
+from csns.domain import BoxSpec, InitSpec, KernelSpec, OutputSpec, SimConfig
 from csns import driver, fluid, oracle, particles
+from conftest import half_spectrum_tables
 
 BOX2 = BoxSpec(2, 2 * math.pi, 32)
 BOX3 = BoxSpec(3, 2 * math.pi, 16)
@@ -34,6 +34,12 @@ def on_block(u, box):
     return fluid.to_block(fluid.forward_transform(u, box), box)
 
 
+def irfftn(c, box):
+    """The physical samples of the half spectrum c, by numpy's irfftn."""
+    return np.fft.irfftn(c, s=box.shape, axes=tuple(range(-box.d, 0)),
+                         norm="forward")
+
+
 def grid_mesh(box):
     x = np.arange(box.N) * box.dx
     return np.meshgrid(*([x] * box.d), indexing="ij")
@@ -42,7 +48,7 @@ def grid_mesh(box):
 @pytest.mark.parametrize("box", [BOX2, BOX3])
 def test_transform_round_trip(box):
     u = random_field(box, 7, box.d)
-    back = fluid.inverse_transform(fluid.forward_transform(u, box), box)
+    back = irfftn(fluid.forward_transform(u, box), box)
     assert np.max(np.abs(back - u)) < 1e-12
 
 
@@ -54,15 +60,15 @@ def test_forward_transform_mean_mode():
 
 @pytest.mark.parametrize("box", [BOX2, BOX3])
 def test_parseval(box):
-    u = random_field(box, 11)
-    c = fluid.forward_transform(u, box)
+    c = on_block(random_field(box, 11, box.d), box)
+    u = fluid.block_values(c, box)
     direct = np.sum(u * u) * box.dx**box.d
     assert fluid.spectral_l2sq(c, box) == pytest.approx(direct, rel=1e-10)
 
 
 def test_kinetic_energy_single_mode():
     xx, _ = grid_mesh(BOX2)
-    c = fluid.forward_transform(np.stack([np.sin(xx), np.zeros_like(xx)]), BOX2)
+    c = on_block(np.stack([np.sin(xx), np.zeros_like(xx)]), BOX2)
     assert fluid.kinetic_energy(c, BOX2) == pytest.approx(math.pi**2, rel=1e-12)
     # |xi| = 1 for this mode, so the viscous rate is ||u||^2
     assert fluid.dissipation_rate(c, BOX2, nu=1.0) == pytest.approx(
@@ -72,7 +78,7 @@ def test_kinetic_energy_single_mode():
 def test_low_freq_energy_shells():
     xx, yy = grid_mesh(BOX2)
     u = np.stack([np.sin(xx) + 0.5, np.zeros_like(yy)])
-    c = fluid.forward_transform(u, BOX2)
+    c = on_block(u, BOX2)
     total = fluid.spectral_l2sq(c, BOX2)
     mean_only = BOX2.volume * 0.25
     assert fluid.low_freq_energy(c, BOX2, 0.0) == pytest.approx(mean_only)
@@ -86,10 +92,10 @@ def test_low_freq_energy_shells():
                                  BOX3, BoxSpec(3, 100.0, 16)])
 def test_parseval_sums_keep_their_bits(box):
     # the formulas each function wrote out before they shared one sum
-    grid = wavenumbers(box)
+    grid = fluid.retained_block(box)
     rng = np.random.Generator(np.random.PCG64(box.N))
-    c = (rng.standard_normal((box.d,) + box.spectral_shape)
-         + 1j * rng.standard_normal((box.d,) + box.spectral_shape))
+    c = (rng.standard_normal((box.d,) + grid.shape)
+         + 1j * rng.standard_normal((box.d,) + grid.shape))
     sq = c.real**2 + c.imag**2
     w = grid.parseval_weight
     assert fluid.spectral_l2sq(c, box) == float(box.volume * np.sum(w * sq))
@@ -104,7 +110,7 @@ def test_parseval_sums_keep_their_bits(box):
 def test_leray_annihilates_gradients():
     xx, yy = grid_mesh(BOX2)
     grad = np.stack([np.cos(xx + yy), np.cos(xx + yy)])
-    c = fluid.forward_transform(grad, BOX2)
+    c = on_block(grad, BOX2)
     proj = fluid.leray_project(c, BOX2)
     assert np.max(np.abs(proj)) < 1e-14
 
@@ -113,8 +119,8 @@ def test_leray_keeps_shear_and_splits_mixture():
     xx, yy = grid_mesh(BOX2)
     shear = np.stack([np.sin(yy), np.zeros_like(xx)])
     grad = np.stack([np.cos(xx + yy), np.cos(xx + yy)])
-    c_shear = fluid.forward_transform(shear, BOX2)
-    c_mix = fluid.forward_transform(shear + grad, BOX2)
+    c_shear = on_block(shear, BOX2)
+    c_mix = on_block(shear + grad, BOX2)
     proj = fluid.leray_project(c_mix, BOX2)
     assert np.max(np.abs(proj - c_shear)) < 1e-13
     assert np.max(np.abs(fluid.leray_project(proj, BOX2) - proj)) < 1e-15
@@ -122,7 +128,7 @@ def test_leray_keeps_shear_and_splits_mixture():
 
 
 def test_leray_keeps_mean_mode():
-    c = fluid.forward_transform(np.full((2,) + BOX2.shape, 1.5), BOX2)
+    c = on_block(np.full((2,) + BOX2.shape, 1.5), BOX2)
     proj = fluid.leray_project(c, BOX2)
     assert proj[0, 0, 0] == pytest.approx(1.5)
 
@@ -223,23 +229,23 @@ def test_velocity_field_round_trip():
     # the field keeps the retained block of its spectrum, and its samples
     # are those of the dealiased field
     c = fluid.forward_transform(random_field(BOX2, 5, 2), BOX2)
-    kept = np.where(wavenumbers(BOX2).dealias, c, 0.0)
-    vf = fluid.VelocityField.from_spectrum(BOX2, c)
+    kept = dealiased(c, BOX2)
+    vf = fluid.VelocityField(BOX2, fluid.to_block(c, BOX2))
     assert_same_bits(vf.c, kept)
-    u = fluid.inverse_transform(kept, BOX2)
+    u = irfftn(kept, BOX2)
     assert np.max(np.abs(vf.values() - u)) < 1e-12
-    vf = fluid.VelocityField.from_spectrum(BOX2,
-                                           fluid.forward_transform(u, BOX2))
+    vf = fluid.VelocityField(BOX2, on_block(u, BOX2))
     assert np.max(np.abs(vf.values() - u)) < 1e-12
 
 
 # The full-grid formula the retained-block right-hand side replaced: the
 # dealiased field through irfftn, one rfftn per product, the dealias mask
-# on the whole half spectrum, then the full-array projection.
+# on the whole half spectrum, then the full-array projection, with the
+# tables of half_spectrum_tables.
 
 def reference_advection(c, box):
-    grid = wavenumbers(box)
-    u = fluid.inverse_transform(np.where(grid.dealias, c, 0.0), box)
+    grid = half_spectrum_tables(box)
+    u = irfftn(np.where(grid.dealias, c, 0.0), box)
     out = np.zeros_like(c)
     for a in range(box.d):
         for b in range(a, box.d):
@@ -250,32 +256,41 @@ def reference_advection(c, box):
     return np.where(grid.dealias, out, 0.0)
 
 
+def reference_divergence(g, grid):
+    div = np.zeros(g.shape[1:], dtype=complex)
+    for a in range(len(g)):
+        div = div + grid.xi[a] * g[a]
+    return div
+
+
+def reference_project(c, box):
+    grid = half_spectrum_tables(box)
+    div = reference_divergence(c, grid) * grid.inv_xi_sq
+    return np.stack([c[a] - grid.xi[a] * div for a in range(box.d)])
+
+
 def reference_nonlinear(c, box):
-    return fluid.leray_project(reference_advection(c, box), box)
+    return reference_project(reference_advection(c, box), box)
 
 
 def reference_forcing(h, box):
     # the body force on the grid, masked like the advection
-    return np.where(wavenumbers(box).dealias, fluid.forward_transform(h, box),
-                    0.0)
+    return dealiased(fluid.forward_transform(h, box), box)
 
 
 def reference_forced(c, box, h):
-    return fluid.leray_project(
+    return reference_project(
         reference_advection(c, box) + reference_forcing(h, box), box)
 
 
 def reference_pressure(c, box, h):
-    grid = wavenumbers(box)
+    grid = half_spectrum_tables(box)
     g = reference_advection(c, box) + reference_forcing(h, box)
-    div = np.zeros(box.spectral_shape, dtype=complex)
-    for a in range(box.d):
-        div = div + grid.xi[a] * g[a]
-    return fluid.inverse_transform(-1j * div * grid.inv_xi_sq, box)
+    return irfftn(-1j * reference_divergence(g, grid) * grid.inv_xi_sq, box)
 
 
 def reference_ns_step(c, box, nu, dt, h):
-    decay = np.exp(-nu * wavenumbers(box).xi_sq * dt)
+    decay = np.exp(-nu * half_spectrum_tables(box).xi_sq * dt)
     g0 = reference_forced(c, box, h)
     g1 = reference_forced(decay * (c + dt * g0), box, h)
     return decay * (c + 0.5 * dt * g0) + 0.5 * dt * g1
@@ -299,7 +314,7 @@ def step(c, box, nu, dt, h=None):
 
 
 def dealiased(c, box):
-    return np.where(wavenumbers(box).dealias, c, 0.0)
+    return np.where(half_spectrum_tables(box).dealias, c, 0.0)
 
 
 def assert_same_bits(got, want):
@@ -337,15 +352,30 @@ def test_retained_block_is_the_dealias_mask(box):
     mask = np.zeros(box.spectral_shape, dtype=bool)
     index = np.ix_(*[block.rows] * (box.d - 1), np.arange(block.cols))
     mask[index] = True
-    assert np.array_equal(mask, wavenumbers(box).dealias)
+    assert np.array_equal(mask, half_spectrum_tables(box).dealias)
     assert block.inv_xi_sq.shape == mask[index].shape
 
 
+@pytest.mark.parametrize("box", [BOX2, BOX3], ids=["2d", "3d"])
+def test_retained_block_tables_match_fftfreq(box):
+    # the block's tables are the fftfreq tables of the half spectrum cut
+    # to the block, bit for bit
+    block, want = fluid.retained_block(box), half_spectrum_tables(box)
+    full = np.ones(box.spectral_shape)
+    for got, table in ((block.xi_sq, want.xi_sq),
+                       (block.inv_xi_sq, want.inv_xi_sq),
+                       (block.parseval_weight, want.parseval_weight),
+                       *zip(block.xi, want.xi)):
+        table = (full * table)[block.index]
+        assert_same_bits(np.broadcast_to(got, table.shape), table)
+    assert block.shape == want.dealias[block.index].shape
+
+
 @pytest.mark.parametrize("table", [
-    lambda: wavenumbers(BOX2).xi_sq,
-    lambda: wavenumbers(BOX2).xi[0],
-    lambda: wavenumbers(BOX2).dealias,
-    lambda: wavenumbers(BOX2).parseval_weight,
+    lambda: fluid.retained_block(BOX2).xi_sq,
+    lambda: fluid.retained_block(BOX2).xi[0],
+    lambda: fluid.retained_block(BOX2).index[-1],
+    lambda: fluid.retained_block(BOX2).parseval_weight,
     lambda: fluid.retained_block(BOX3).inv_xi_sq,
     lambda: fluid.retained_block(BOX3).xi[2],
     lambda: fluid.retained_block(BOX3).rows,
@@ -524,14 +554,14 @@ def reference_stage(c, ens, cfg):
     box = cfg.box
     m = particles.convolve_kernel(particles.deposit_moments(ens, box),
                                   cfg.kernel, box)
-    u = fluid.inverse_transform(c, box)
+    u = irfftn(c, box)
     return (reference_forced(c, box, particles.drag_field(m, u, box)),
             particles.stage_rates(ens.X, ens.V, m, u, box))
 
 
 def reference_coupled_step(c, ens, cfg, dt):
     box = cfg.box
-    decay = np.exp(-cfg.viscosity * wavenumbers(box).xi_sq * dt)
+    decay = np.exp(-cfg.viscosity * half_spectrum_tables(box).xi_sq * dt)
     g0, r0 = reference_stage(c, ens, cfg)
     g1, r1 = reference_stage(decay * (c + dt * g0),
                              driver._moved(ens, dt, *r0, box), cfg)
@@ -547,7 +577,7 @@ def test_off_block_modes_stay_zero_over_coupled_steps(usable_cpus, box,
     cfg = coupled_config(box, 8)
     state = driver.initial_state(cfg)
     c, ens = state.u.c, state.ens
-    off = ~wavenumbers(box).dealias
+    off = ~half_spectrum_tables(box).dealias
     for _ in range(3):
         state = driver.coupled_step(state, cfg, cfg.dt)
         c, ens = reference_coupled_step(c, ens, cfg, cfg.dt)
@@ -574,7 +604,7 @@ def test_stage_samples_are_the_inverse_transform_bits(usable_cpus,
     monkeypatch.setattr(particles, "stage_rates", lambda X, V, m, u, b: (
         seen.append(u), original(X, V, m, u, b))[1])
     driver._stage(cfg, state)
-    want = fluid.inverse_transform(state.u.c, box)
+    want = irfftn(state.u.c, box)
     assert len(seen) == 1
     assert_same_bits(seen[0], want)
     assert_same_bits(state.u.values(), want)

@@ -12,7 +12,8 @@ import pytest
 
 from csns import diagnostics, driver, fluid, io, oracle, particles
 from csns.domain import (BoxSpec, ConfigError, InitSpec, KernelSpec,
-                         OutputSpec, SimConfig, wavenumbers)
+                         OutputSpec, SimConfig)
+from conftest import half_spectrum_tables
 
 
 def sample_config(outdir="out"):
@@ -196,7 +197,7 @@ def particle_free_state(t):
     box = BoxSpec(d=2, L=2.0 * math.pi, N=8)
     u = oracle.taylor_green(box)[0]
     return SimpleNamespace(
-        t=t, u=fluid.VelocityField.from_spectrum(box, fluid.forward_transform(u, box)),
+        t=t, u=fluid.VelocityField(box, fluid.to_block(fluid.forward_transform(u, box), box)),
         ens=particles.ParticleEnsemble(np.zeros((0, 2)), np.zeros((0, 2)),
                                        np.zeros(0)),
         moments=None)
@@ -374,7 +375,7 @@ def test_read_checkpoint_cuts_off_block_round_off(tmp_path):
         init_profile=InitSpec(fluid="taylor_green"))
     box = cfg.box
     c = fluid.forward_transform(oracle.taylor_green(box)[0], box)
-    off = ~wavenumbers(box).dealias
+    off = ~half_spectrum_tables(box).dealias
     assert np.any(c[:, off] != 0)
     empty = np.zeros((0, 2))
     state = SimpleNamespace(t=0.0, step_index=0, u=SimpleNamespace(c=c),
@@ -400,7 +401,8 @@ def test_checkpoint_round_trip(tmp_path):
                                      rng.standard_normal((n, 2)),
                                      np.full(n, 1.0 / n))
     state = SimpleNamespace(t=0.75, step_index=750,
-                            u=fluid.VelocityField.from_spectrum(box, c), ens=ens)
+                            u=fluid.VelocityField(box, fluid.to_block(c, box)),
+                            ens=ens)
     rec_state = {"nu": 0.7, "c_sq": 6.0, "ledger": None, "tw_cum": 0.0,
                  "tw_last": None, "pending": [], "window": [[0.0, 1.0]]}
     path = tmp_path / "ck.npz"
@@ -441,8 +443,8 @@ def resting_state(cfg, step_index):
     box, n = cfg.box, cfg.particle_count
     return SimpleNamespace(
         t=1e-3 * step_index, step_index=step_index,
-        u=fluid.VelocityField.from_spectrum(box, np.zeros((2,) + box.spectral_shape,
-                                            dtype=complex)),
+        u=fluid.VelocityField(box, np.zeros(
+            (2,) + fluid.retained_block(box).shape, dtype=complex)),
         ens=particles.ParticleEnsemble(np.zeros((n, 2)), np.zeros((n, 2)),
                                        np.ones(n) / n))
 

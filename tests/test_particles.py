@@ -30,7 +30,7 @@ def frozen_flow(ens, u, kernel, box):
     the step is the particle Heun step under a frozen fluid field.
     """
     state = driver.SimState(
-        0.0, 0, fluid.VelocityField.from_spectrum(box, fluid.forward_transform(u, box)),
+        0.0, 0, fluid.VelocityField(box, fluid.to_block(fluid.forward_transform(u, box), box)),
         ens)
     cfg = SimConfig(box=box, dt=1e-3, t_end=1.0, kernel=kernel,
                     particle_count=ens.n, coupling_enabled=False)
