@@ -15,8 +15,8 @@ def broadband_field(box, xi_cut, u_rms, seed):
     Seeded white noise fixes phases and polarizations; the moduli are then
     flattened so the shell spectrum mimics whole-space data that is merely
     integrable at low frequency, and the total is rescaled to the exact rms.
-    The noise transform is cut to the retained block before it is projected,
-    which holds the whole ball (validate_config bounds xi_cut).
+    The noise transform is cut to the retained block, which holds the whole
+    ball (validate_config bounds xi_cut), before it is projected.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     xi_sq = fluid.retained_block(box).xi_sq
