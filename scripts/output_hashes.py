@@ -13,6 +13,7 @@ that path differs between runs.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from csns import driver, io, presets
+from csns.domain import validate_config
 
 TWO_PI = 2.0 * math.pi
 SEED = 7
@@ -61,6 +63,15 @@ def coupled3d(outdir):
                            checkpoint_every=25, seed=SEED)
 
 
+def adaptive2d(outdir):
+    """32^2 coupled run at nu = 0.05 whose dt the CFL bound sets on every
+    step, with a row every step and snapshots."""
+    cfg = presets.coupled(outdir, N=32, particle_count=64, dt=0.5, t_end=2.0,
+                          series_every=1, snapshot_every=4, seed=SEED)
+    return validate_config(dataclasses.replace(cfg, viscosity=0.05,
+                                               adaptive=True))
+
+
 def fluid3d(outdir):
     """64^3 decay without particles, 20 steps."""
     return presets.decay3d(outdir, t_end=2.0, seed=SEED)
@@ -68,7 +79,7 @@ def fluid3d(outdir):
 
 CONFIGS = {"coupled2d": coupled2d, "small_io": small_io,
            "determinism": determinism, "coupled3d": coupled3d,
-           "fluid3d": fluid3d}
+           "adaptive2d": adaptive2d, "fluid3d": fluid3d}
 # runs that also resume from their middle checkpoint into the same series
 RESUMED = ("small_io",)
 
