@@ -125,25 +125,9 @@ def print_checks(checks):
     return all(c.passed for c in checks)
 
 
-def read_run_series(path):
-    """The series a run wrote, or BadSeries naming the file.
-
-    TimeseriesWriter ends every row with a newline, so a last row without
-    one was cut.  A file that is not UTF-8 text is not a series at all, and
-    read_timeseries names its first bad byte.
-    """
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError:
-        text = ""
-    if text and not text.endswith("\n"):
-        raise io.BadSeries(f"{path}: the last row is cut")
-    return io.read_timeseries(path, diagnostics.csv_columns(2))
-
-
 def cmd_verify(args):
     try:
-        data = read_run_series(args.series)
+        data = io.read_timeseries(args.series, diagnostics.csv_columns(2))
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -160,10 +144,8 @@ def cmd_verify(args):
 def cmd_fit_decay(args):
     try:
         data = io.read_timeseries(args.series)
-        t = np.atleast_1d(np.asarray(data["t"], dtype=float))
-        e = np.atleast_1d(np.asarray(data[args.column], dtype=float))
         fit = diagnostics.fit_decay_exponent(
-            t, e, args.window[0], args.window[1],
+            data["t"], data[args.column], args.window[0], args.window[1],
             box_length=args.box_length, nu=args.viscosity)
     except (OSError, ValueError, KeyError) as exc:
         print(str(exc), file=sys.stderr)

@@ -49,7 +49,13 @@ def total_momentum(state):
         + particles.particle_momentum(state.ens)
 
 
-def dissipation_terms(state, nu, u_phys):
+def velocity_samples(state):
+    """The velocity samples of state: those its moment record holds (filled
+    by driver.ensure_moments) when it has particles, made afresh when not."""
+    return state.moments.u if state.ens.n else state.u.values()
+
+
+def dissipation_terms(state, nu):
     """(grad_rate, drag_rate, align_rate, alignment_gap) of the energy balance.
 
     Deposit and interpolate are an exact adjoint pair, sum_i w_i F(X_i) =
@@ -62,8 +68,8 @@ def dissipation_terms(state, nu, u_phys):
     align_rate is the raw double sum (the ledger halves it): its term
     sum w (K*e)(X) of the speed-squared density e equals sum w a(X) |V|^2
     for the symmetric sampled kernel.  drag_rate dominates the alignment gap
-    sum w |V - u(X)|^2 by the stencil's Jensen defect.  The particles are
-    read for u and a only, on the stencil of the moments.
+    sum w |V - u(X)|^2 by the stencil's Jensen defect.  The samples and
+    the reads u(X) and a(X) are those the state's moment record holds.
     """
     box = state.u.box
     grad = fluid.dissipation_rate(state.u.block, box, nu)
@@ -73,12 +79,10 @@ def dissipation_terms(state, nu, u_phys):
     m = state.moments
     cell = box.dx**box.d
     wvsq = ens.w * np.sum(ens.V * ens.V, axis=1)
-    drag = float(cell * (np.vdot(m.rho, np.sum(u_phys * u_phys, axis=0))
-                         - 2.0 * np.vdot(m.j, u_phys)) + np.sum(wvsq))
-    a_at = particles.interpolate(m.a, ens.X, box, m.stencil)
-    align = float(2.0 * (np.dot(wvsq, a_at) - cell * np.vdot(m.b, m.j)))
-    diff = ens.V - particles.interpolate_velocity(u_phys, ens.X, box,
-                                                  m.stencil)
+    drag = float(cell * (np.vdot(m.rho, np.sum(m.u * m.u, axis=0))
+                         - 2.0 * np.vdot(m.j, m.u)) + np.sum(wvsq))
+    align = float(2.0 * (np.dot(wvsq, m.a_at) - cell * np.vdot(m.b, m.j)))
+    diff = ens.V - m.u_at
     gap = float(np.sum(ens.w * np.sum(diff * diff, axis=1)))
     return grad, drag, align, gap
 
@@ -281,9 +285,8 @@ class SeriesRecorder:
 
     def _row(self, state, energies):
         box = state.u.box
-        u_phys = state.u.values()
         e, e_fluid, e_kin = energies
-        grad, drag, align, gap = dissipation_terms(state, self.nu, u_phys)
+        grad, drag, align, gap = dissipation_terms(state, self.nu)
         if self.ledger is None:
             self.ledger = EnergyLedger.start(e, state.t, grad, drag, align)
         else:
@@ -314,7 +317,7 @@ class SeriesRecorder:
             "ledger_residual": energy_identity_residual(self.ledger),
             "R": particles.v_support_radius(state.ens),
             "b_inf": b_inf,
-            "u_inf": fluid.max_speed(u_phys),
+            "u_inf": fluid.max_speed(velocity_samples(state)),
             "rho_l1": rho_l1,
             "rho_l2": rho_l2,
             "rho_linf": rho_linf,
@@ -394,10 +397,6 @@ class CheckResult:
     detail: str
 
 
-def _col(data, name):
-    return np.atleast_1d(np.asarray(data[name], dtype=float))
-
-
 def verify_timeseries(data):
     """Run every per-series invariant on a recorded diagnostics table.
 
@@ -406,12 +405,11 @@ def verify_timeseries(data):
     and inequality residual held along the run.
     """
     checks = []
-    t = _col(data, "t")
-    e = _col(data, "E")
+    t, e = data["t"], data["E"]
     e0 = e[0]
     scale = max(1.0, abs(e0))
 
-    mass = _col(data, "rho_l1")
+    mass = data["rho_l1"]
     spread = float(np.max(mass) - np.min(mass))
     # deposition preserves mass exactly; only bincount summation order varies
     checks.append(CheckResult(
@@ -423,29 +421,29 @@ def verify_timeseries(data):
         "energy_monotone", rise <= 1e-10,
         f"largest energy increase between records {rise:.3e}"))
 
-    worst_rate = min(float(np.min(_col(data, name)))
+    worst_rate = min(float(np.min(data[name]))
                      for name in ("grad_rate", "drag_rate", "align_rate"))
     checks.append(CheckResult(
         "rates_nonnegative", worst_rate >= -1e-12 * scale,
         f"most negative dissipation rate {worst_rate:.3e}"))
 
-    res = float(np.max(np.abs(_col(data, "ledger_residual"))))
+    res = float(np.max(np.abs(data["ledger_residual"])))
     bound = 1e-2 * scale if e0 > 0 else 1e-12
     checks.append(CheckResult(
         "ledger_residual", res <= bound,
         f"max |residual| {res:.3e} vs bound {bound:.3e}"))
 
-    fs = _col(data, "fs_residual")
+    fs = data["fs_residual"]
     have = np.isfinite(fs)
     fs_margin = float(np.min(fs[have] + 1e-4 * e[have])) if np.any(have) else 0.0
     checks.append(CheckResult(
         "fourier_splitting", fs_margin >= 0.0,
         f"worst residual margin {fs_margin:.3e}"))
 
-    b_inf = _col(data, "b_inf")
-    e_kin = _col(data, "E_kinetic")
-    r_margin, b_margin = r_bound_check(t, _col(data, "R"), b_inf,
-                                       _col(data, "u_inf"), e_kin)
+    b_inf = data["b_inf"]
+    e_kin = data["E_kinetic"]
+    r_margin, b_margin = r_bound_check(t, data["R"], b_inf,
+                                       data["u_inf"], e_kin)
     checks.append(CheckResult(
         "support_radius_bound", r_margin >= -1e-3,
         f"worst margin {r_margin:.3e}"))
@@ -456,21 +454,21 @@ def verify_timeseries(data):
     names = ["momentum_x", "momentum_y"]
     if "momentum_z" in (data.dtype.names or ()):
         names.append("momentum_z")
-    drift = max(float(np.max(np.abs(_col(data, nm) - _col(data, nm)[0])))
+    drift = max(float(np.max(np.abs(data[nm] - data[nm][0])))
                 for nm in names)
     checks.append(CheckResult(
         "momentum_constant", drift <= 1e-9,
         f"max component drift {drift:.3e}"))
 
-    tw = _col(data, "tw_drag_cum")
+    tw = data["tw_drag_cum"]
     tw_drop = float(np.min(np.diff(tw))) if tw.size > 1 else 0.0
     checks.append(CheckResult(
         "weighted_drag_monotone", tw_drop >= -1e-12,
         f"most negative increment {tw_drop:.3e}"))
 
-    rho0 = _col(data, "rho_linf")[0]
-    rhs = 2.0 * (1.0 + rho0) * (2.0 * _col(data, "E_fluid")
-                                + _col(data, "alignment_gap"))
+    rho0 = data["rho_linf"][0]
+    rhs = 2.0 * (1.0 + rho0) * (2.0 * data["E_fluid"]
+                                + data["alignment_gap"])
     eq_margin = float(np.min(rhs - e))
     checks.append(CheckResult(
         "energy_equivalence", eq_margin >= -1e-9 * scale,

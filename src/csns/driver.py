@@ -44,15 +44,15 @@ class SimState:
 
 
 def ensure_moments(state, kernel, box):
-    """Fill the deposited and smoothed moment fields if they are stale.
-
-    The moments carry their stencil, so a state's deposit, its series row
-    and the next step's predictor share one.  An empty ensemble deposits
-    nothing and keeps moments None.
-    """
+    """Fill the state's moment record if it is stale: the deposited and
+    smoothed moments, the velocity samples and the particle reads, which
+    the state's row, adaptive dt, snapshot and predictor share.  An empty
+    ensemble deposits nothing and keeps moments None."""
     if state.moments is None and state.ens.n:
-        state.moments = particles.convolve_kernel(
+        m = particles.convolve_kernel(
             particles.deposit_moments(state.ens, box), kernel, box)
+        state.moments = particles.read_fields(m, state.u.values(),
+                                              state.ens.X, box)
     return state.moments
 
 
@@ -61,19 +61,17 @@ def _stage(cfg, state):
 
     Returns the fluid rate g and the particle rates (rx, rv), or None for
     the particle rates of an empty ensemble, which deposits nothing.  The
-    drag is dealiased and projected with the advection.  The stencil of the
-    moments serves every field read at the stage, and the velocity samples
-    of one set of block inverses (state.u.values()) serve the drag, the
-    particle rates and the right-hand side.
+    drag is dealiased and projected with the advection.  The velocity
+    samples and particle reads of the state's moment record serve the drag,
+    the particle rates and the right-hand side.
     """
     box, ens = cfg.box, state.ens
     if ens.n == 0:
         return fluid.nonlinear_term(state.u.block, box), None
     m = ensure_moments(state, cfg.kernel, box)
-    u = state.u.values()
-    h = particles.drag_field(m, u, box) if cfg.coupling_enabled else None
-    return (fluid.nonlinear_term(state.u.block, box, h, u),
-            particles.stage_rates(ens.X, ens.V, m, u, box))
+    h = particles.drag_field(m, m.u, box) if cfg.coupling_enabled else None
+    return (fluid.nonlinear_term(state.u.block, box, h, m.u),
+            particles.stage_rates(m, ens.V))
 
 
 def _moved(ens, h, rx, rv, box):
@@ -102,7 +100,7 @@ def coupled_step(state, cfg, dt):
 
 def adaptive_dt(state, cfl, box):
     """Advective CFL bound, capped at one."""
-    u_inf = fluid.max_speed(state.u.values())
+    u_inf = fluid.max_speed(diagnostics.velocity_samples(state))
     return cfl * min(box.dx / max(u_inf, 1e-12), 1.0)
 
 
@@ -114,9 +112,7 @@ def initial_state(cfg):
     c = initial.fluid_initial(cfg.init_profile, cfg.box, fluid_seed)
     ens = particles.sample_initial(cfg.init_profile, cfg.particle_count,
                                    cfg.r0, cfg.box, particle_seed)
-    state = SimState(0.0, 0, fluid.VelocityField(cfg.box, c), ens)
-    ensure_moments(state, cfg.kernel, cfg.box)
-    return state
+    return SimState(0.0, 0, fluid.VelocityField(cfg.box, c), ens)
 
 
 @dataclass(eq=False)
@@ -139,6 +135,7 @@ def run(cfg):
     outdir = Path(cfg.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     state = initial_state(cfg)
+    ensure_moments(state, cfg.kernel, cfg.box)
     rho_sup = float(np.max(state.moments.rho)) if state.ens.n else 0.0
     c_sq = 3.0 * (1.0 + rho_sup)
     recorder = diagnostics.SeriesRecorder(cfg.viscosity, c_sq)
@@ -181,7 +178,7 @@ def _unstable(state, good, dt, box, e_fluid, e_kin, series, checkpoints):
     quantity = " and ".join(name for name, e in (("fluid energy", e_fluid),
                                                  ("particle energy", e_kin))
                             if not np.isfinite(e))
-    cfl = fluid.max_speed(good.u.values()) * dt / box.dx
+    cfl = fluid.max_speed(diagnostics.velocity_samples(good)) * dt / box.dx
     checkpoint = checkpoints[-1] if checkpoints else None
     where = f"; last checkpoint {checkpoint}" if checkpoint else \
         "; no checkpoint written"
@@ -193,7 +190,9 @@ def _unstable(state, good, dt, box, e_fluid, e_kin, series, checkpoints):
 
 
 def _advance(cfg, state, recorder, writer, prev_e):
-    """Step from state to t_end; prev_e is the energy of state."""
+    """Step from state to t_end; prev_e is the energy of state.  Each state
+    stepped from or written is read once, into its moment record."""
+    ensure_moments(state, cfg.kernel, cfg.box)
     outdir = Path(cfg.output.dir)
     out = cfg.output
     snapshots = []
@@ -220,16 +219,17 @@ def _advance(cfg, state, recorder, writer, prev_e):
             raise _unstable(state, good, dt, cfg.box, e_fluid, e_kin,
                             writer.path, checkpoints)
         del good
+        ensure_moments(state, cfg.kernel, cfg.box)
         max_rise = max(max_rise, e_now - prev_e)
         prev_e = e_now
 
         if due(out.series_every_steps) or state.t >= cfg.t_end - t_tol:
-            ensure_moments(state, cfg.kernel, cfg.box)
             for row in recorder.record(state, energies):
                 writer.add_row(row)
         if due(out.snapshot_every_steps):
             path = outdir / f"snapshot_{state.step_index:08d}.csns"
-            io.write_snapshot(path, cfg.box, state.t, state.u.values(),
+            io.write_snapshot(path, cfg.box, state.t,
+                              diagnostics.velocity_samples(state),
                               state.ens.X, state.ens.V, state.ens.w)
             snapshots.append(path)
         if due(out.checkpoint_every_steps):

@@ -83,9 +83,11 @@ def config_from_data(data):
 
 def parse_config(path):
     """Read a JSON run configuration; collects every violation before failing."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        error = (str(path), f"not UTF-8 text (byte {exc.start})")
+        raise ConfigError([error]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([("config", f"invalid JSON: {exc}")]) from exc
     return config_from_data(data)
@@ -136,27 +138,46 @@ class TimeseriesWriter:
 
 
 def read_timeseries(path, columns=()):
-    """Load a diagnostics CSV as a structured array keyed by column name.
+    """Load a diagnostics CSV as a structured array, one entry per row.
 
-    A file that is not UTF-8 text, has no rows, has a row of the wrong
-    length or lacks one of columns raises BadSeries.
+    A file that is not UTF-8 text, has no rows, a last row without the
+    newline TimeseriesWriter ends it with, a row of other than the header's
+    field count, a field float() does not parse, or lacks one of columns
+    raises BadSeries naming the file (and the row, from 1, and column).
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BadSeries(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     if not text.strip():
         raise BadSeries(f"{path}: empty file")
-    try:
-        data = np.genfromtxt(text.splitlines(), delimiter=",", names=True)
-    except ValueError as exc:
-        raise BadSeries(f"{path}: {' '.join(str(exc).split())}") from exc
-    if data.size == 0:
+    if not text.endswith("\n"):
+        raise BadSeries(f"{path}: the last row is cut")
+    header, *lines = text[:-1].split("\n")
+    names = header.split(",")
+    if len(set(names)) < len(names) or "" in names:
+        raise BadSeries(f"{path}: header {header!r} does not name each "
+                        "column once")
+    if not lines:
         raise BadSeries(f"{path}: no rows")
-    missing = [c for c in columns if c not in (data.dtype.names or ())]
+    rows = []
+    for r, line in enumerate(lines, 1):
+        fields = line.split(",")
+        if len(fields) != len(names):
+            raise BadSeries(f"{path}: row {r}: got {len(fields)} columns "
+                            f"instead of {len(names)}")
+        row = []
+        for name, field in zip(names, fields):
+            try:
+                row.append(float(field))
+            except ValueError:
+                raise BadSeries(f"{path}: row {r}, column {name}: "
+                                f"{field!r} is not a number") from None
+        rows.append(tuple(row))
+    missing = [c for c in columns if c not in names]
     if missing:
         raise BadSeries(f"{path}: no column {', '.join(missing)}")
-    return data
+    return np.array(rows, dtype=[(name, float) for name in names])
 
 
 def _write_atomically(path, write):

@@ -32,14 +32,14 @@ class ParticleEnsemble:
 
 @dataclass(eq=False)
 class MomentFields:
-    """Grid moment densities of an ensemble and their smoothed fields.
+    """A state's moment record: grid moments, smoothed fields and reads.
 
     deposit_moments fills the weight density rho and the momentum density j
-    and keeps the stencil it deposited with, so that every read at the same
-    positions reuses it; convolve_kernel adds a = K*rho and b = K*j.  The
-    stepper and the series row read nothing else: deposit and interpolate
-    are an exact adjoint pair, so a particle sum of a read field is a grid
-    inner product with rho or j.
+    and keeps its stencil; convolve_kernel adds a = K*rho and b = K*j;
+    read_fields adds the velocity samples u and the reads u(X), a(X) and
+    b(X) on that stencil.  Deposit and interpolate are an exact adjoint
+    pair, so a particle sum of a read field is a grid inner product with
+    rho or j.
     """
 
     stencil: tuple
@@ -47,6 +47,10 @@ class MomentFields:
     j: np.ndarray
     a: np.ndarray = None
     b: np.ndarray = None
+    u: np.ndarray = None
+    u_at: np.ndarray = None
+    a_at: np.ndarray = None
+    b_at: np.ndarray = None
 
 
 def wrap_positions(X, box):
@@ -178,28 +182,22 @@ def interpolate(field, X, box, stencil=None):
     return out
 
 
-def interpolate_velocity(u_phys, X, box, stencil=None):
-    """Fluid velocity at particle positions, shape (n, d)."""
-    return interpolate(u_phys, X, box, stencil).T
+def read_fields(m, u, X, box):
+    """The moments with the velocity samples u and the reads u(X), a(X) and
+    b(X) at the positions X they were deposited from, on their stencil."""
+    return replace(m, u=u, u_at=interpolate(u, X, box, m.stencil).T,
+                   a_at=interpolate(m.a, X, box, m.stencil),
+                   b_at=interpolate(m.b, X, box, m.stencil).T)
 
 
-def alignment_force(m, X, V, box):
-    """Pairwise relaxation force b(X) - a(X) V read from the smoothed fields
-    at the positions X the moments were deposited from."""
-    a_at = interpolate(m.a, X, box, m.stencil)
-    b_at = interpolate(m.b, X, box, m.stencil).T
-    return b_at - a_at[:, None] * V
+def alignment_force(m, V):
+    """Pairwise relaxation force b(X) - a(X) V from the reads m holds."""
+    return m.b_at - m.a_at[:, None] * V
 
 
-def stage_rates(X, V, m, u_phys, box):
-    """Characteristic right-hand sides (dX/dt, dV/dt) at one stage.
-
-    X are the positions the moments were deposited from, so every field
-    read reuses the moments' stencil.
-    """
-    u_at = interpolate_velocity(u_phys, X, box, m.stencil)
-    dv = alignment_force(m, X, V, box) + u_at - V
-    return u_at, dv
+def stage_rates(m, V):
+    """Characteristic rates (dX/dt, dV/dt) from the reads m holds."""
+    return m.u_at, alignment_force(m, V) + m.u_at - V
 
 
 def drag_field(m, u_phys, box):

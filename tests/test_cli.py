@@ -94,6 +94,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "visocity" in err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps({"dt": 1e-3}).encode("utf-16-le"))
+    assert cli.main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at {bad}: not UTF-8 text (byte 0)" in err
+
+
 WRONG_TYPED = [
     ("dt", "0.001"), ("t_end", "0.02"), ("viscosity", "1.0"), ("r0", "1.0"),
     ("box.L", "6.283185307179586"), ("kernel.beta", "2.0"), ("cfl", "0.5"),
@@ -504,6 +512,21 @@ def test_verify_fails_cleanly_on_series_cut_mid_row(tmp_path, capsys):
     raw = series.read_bytes()
     series.write_bytes(raw[:raw.index(b"\n", 200) + 40])
     assert "the last row is cut" in assert_verify_fails_on(series, capsys)
+
+
+def test_verify_names_a_field_that_is_not_a_number(tmp_path, capsys):
+    # one field of each column, in row 1 or 3, made unreadable as a number
+    series = finished_series(tmp_path)
+    capsys.readouterr()
+    header, *rows = series.read_text().splitlines()
+    for c, name in enumerate(header.split(",")):
+        r = 1 + 2 * (c % 2)
+        bad = rows[r - 1].split(",")
+        bad[c] = "x" + bad[c]
+        bad_rows = rows[:r - 1] + [",".join(bad)] + rows[r:]
+        series.write_text("\n".join([header] + bad_rows) + "\n")
+        out = assert_verify_fails_on(series, capsys)
+        assert f"row {r}, column {name}: 'x" in out, name
 
 
 def test_verify_still_checks_snapshots_of_a_bad_series(tmp_path, capsys):

@@ -20,6 +20,7 @@ def make_state(box, u_values, X, V, w, kernel, t=0.0):
     m = particles.convolve_kernel(particles.deposit_moments(ens, box),
                                   kernel, box)
     vf = fluid.VelocityField(box, fluid.to_block(fluid.forward_transform(u_values, box), box))
+    m = particles.read_fields(m, vf.values(), ens.X, box)
     return SimpleNamespace(t=t, u=vf, ens=ens, moments=m)
 
 
@@ -42,7 +43,7 @@ def one_row(state):
 
 
 def row_terms(state, nu=1.0):
-    return diagnostics.dissipation_terms(state, nu, state.u.values())
+    return diagnostics.dissipation_terms(state, nu)
 
 
 def test_csv_columns_2d():
@@ -357,29 +358,30 @@ def test_series_recorder_builds_one_stencil(monkeypatch):
 
 
 def test_coupled_row_reads_the_velocity_at_the_particles_once(monkeypatch):
-    # the drag rate and the alignment gap share one interpolation of u
+    # the drag rate and the alignment gap share one interpolation of u, the
+    # one the state's moment record holds
     box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
     rng = np.random.Generator(np.random.PCG64(23))
     n = 40
-    state = make_state(box, 0.3 * rng.standard_normal((2,) + box.shape),
-                       X=rng.uniform(0.0, box.L, (n, 2)),
-                       V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
-                       kernel=KernelSpec(kind="inverse_power", beta=2.0))
     calls = []
-    read = particles.interpolate_velocity
+    read = particles.interpolate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return read(*args, **kwargs)
 
-    monkeypatch.setattr(particles, "interpolate_velocity", counted)
+    monkeypatch.setattr(particles, "interpolate", counted)
+    state = make_state(box, 0.3 * rng.standard_normal((2,) + box.shape),
+                       X=rng.uniform(0.0, box.L, (n, 2)),
+                       V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
+                       kernel=KernelSpec(kind="inverse_power", beta=2.0))
     one_row(state)
-    assert len(calls) == 1
+    assert sum(args[0] is state.moments.u for args in calls) == 1
 
 
 def test_row_deposits_and_convolves_nothing(monkeypatch):
-    # the rates are inner products of the state's own moments, read on the
-    # stencil they were deposited with
+    # the rates are inner products of the state's own moments, and the
+    # samples and particle reads are those its moment record holds
     box = BoxSpec(d=2, L=2.0 * math.pi, N=16)
     rng = np.random.Generator(np.random.PCG64(24))
     n = 40
@@ -388,17 +390,20 @@ def test_row_deposits_and_convolves_nothing(monkeypatch):
                        V=rng.standard_normal((n, 2)), w=np.full(n, 1.0 / n),
                        kernel=KernelSpec(kind="inverse_power", beta=2.0))
     calls = {}
-    for name in ("_deposit", "_smoothed", "cic_stencil"):
-        def counted(*args, _name=name, _original=getattr(particles, name),
+    for module, name in ((particles, "_deposit"), (particles, "_smoothed"),
+                         (particles, "cic_stencil"),
+                         (particles, "interpolate"), (fluid, "block_values")):
+        def counted(*args, _name=name, _original=getattr(module, name),
                     **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
         calls[name] = 0
-        monkeypatch.setattr(particles, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rec = diagnostics.SeriesRecorder(nu=1.0, c_sq=6.0)
     rec.record(state, diagnostics.energy(state))
-    assert calls == {"_deposit": 0, "_smoothed": 0, "cic_stencil": 0}
+    assert calls == {"_deposit": 0, "_smoothed": 0, "cic_stencil": 0,
+                     "interpolate": 0, "block_values": 0}
 
 
 @pytest.mark.parametrize("kernel", [KernelSpec(kind="constant"),

@@ -555,7 +555,8 @@ def reference_stage(c, ens, cfg):
                                   cfg.kernel, box)
     u = irfftn(c, box)
     return (reference_forced(c, box, particles.drag_field(m, u, box)),
-            particles.stage_rates(ens.X, ens.V, m, u, box))
+            particles.stage_rates(particles.read_fields(m, u, ens.X, box),
+                                  ens.V))
 
 
 def reference_coupled_step(c, ens, cfg, dt):
@@ -600,8 +601,8 @@ def test_stage_samples_are_the_inverse_transform_bits(usable_cpus,
     state = driver.initial_state(cfg)
     seen = []
     original = particles.stage_rates
-    monkeypatch.setattr(particles, "stage_rates", lambda X, V, m, u, b: (
-        seen.append(u), original(X, V, m, u, b))[1])
+    monkeypatch.setattr(particles, "stage_rates", lambda m, V: (
+        seen.append(m.u), original(m, V))[1])
     driver._stage(cfg, state)
     want = irfftn(state.u.c, box)
     assert len(seen) == 1

@@ -37,6 +37,14 @@ def frozen_flow(ens, u, kernel, box):
     return state, cfg
 
 
+def aligned(m, ens, box):
+    """The alignment force of the smoothed moments m of ens, from the reads
+    of its moment record; the flow does not enter it."""
+    u = np.zeros((box.d,) + box.shape)
+    return particles.alignment_force(
+        particles.read_fields(m, u, ens.X, box), ens.V)
+
+
 def node_ensemble(box, nodes, V, w):
     X = np.asarray(nodes, dtype=float) * box.dx
     return particles.ParticleEnsemble(X, np.asarray(V, float),
@@ -94,7 +102,7 @@ def test_deposit_interpolate_adjoint(seed):
     ens = make_ensemble(BOX, 30, seed)
     m = particles.deposit_moments(ens, BOX)
     lhs = np.sum(u * m.j) * BOX.dx**BOX.d
-    u_at = particles.interpolate_velocity(u, ens.X, BOX)
+    u_at = particles.interpolate(u, ens.X, BOX).T
     rhs = np.sum(ens.w * np.sum(u_at * ens.V, axis=1))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
@@ -219,7 +227,7 @@ def test_convolve_single_particle_matches_direct_kernel():
 def test_alignment_force_single_particle_cancels():
     ens = node_ensemble(BOX, [[3, 3]], [[2.0, -1.5]], [0.7])
     m = particles.convolve_kernel(particles.deposit_moments(ens, BOX), POWER, BOX)
-    f = particles.alignment_force(m, ens.X, ens.V, BOX)
+    f = aligned(m, ens, BOX)
     assert np.max(np.abs(f)) < 1e-13
 
 
@@ -228,7 +236,7 @@ def test_alignment_force_two_node_particles_exact():
     w = np.array([0.4, 0.6])
     ens = node_ensemble(BOX, [[2, 2], [2, 6]], V, w)
     m = particles.convolve_kernel(particles.deposit_moments(ens, BOX), POWER, BOX)
-    f = particles.alignment_force(m, ens.X, ens.V, BOX)
+    f = aligned(m, ens, BOX)
     r = 4 * BOX.dx
     phi = 1.0 / (1.0 + r * r)
     assert np.allclose(f[0], w[1] * phi * (V[1] - V[0]), atol=1e-13)
@@ -242,7 +250,7 @@ def test_alignment_force_matches_pairwise_oracle_on_nodes():
     w = np.full(12, 1.0 / 12)
     ens = node_ensemble(BOX, nodes, V, w)
     m = particles.convolve_kernel(particles.deposit_moments(ens, BOX), POWER, BOX)
-    f = particles.alignment_force(m, ens.X, ens.V, BOX)
+    f = aligned(m, ens, BOX)
     direct = oracle.direct_pairwise_alignment(ens.X, V, w, POWER, BOX)
     assert np.max(np.abs(f - direct)) < 1e-12
 
@@ -255,7 +263,7 @@ def test_alignment_force_off_node_error_refines():
         ens = make_ensemble(box, 20, 31)
         m = particles.convolve_kernel(particles.deposit_moments(ens, box),
                                       POWER, box)
-        f = particles.alignment_force(m, ens.X, ens.V, box)
+        f = aligned(m, ens, box)
         direct = oracle.direct_pairwise_alignment(ens.X, ens.V, ens.w, POWER, box)
         errs.append(np.max(np.abs(f - direct)))
     assert errs[1] < errs[0] / 2.5
@@ -265,7 +273,7 @@ def test_alignment_force_off_node_error_refines():
 def test_total_alignment_momentum_cancels():
     ens = make_ensemble(BOX, 50, 13)
     m = particles.convolve_kernel(particles.deposit_moments(ens, BOX), POWER, BOX)
-    f = particles.alignment_force(m, ens.X, ens.V, BOX)
+    f = aligned(m, ens, BOX)
     total = np.sum(ens.w[:, None] * f, axis=0)
     assert np.max(np.abs(total)) < 1e-14
 
